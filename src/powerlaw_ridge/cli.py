@@ -41,7 +41,6 @@ _COMMAND_DEFAULTS = {
         "trials": 10,
         "seed": 0,
         "format": "csv",
-        "workers": 1,
         "tau_grid": "0.05:0.8:16",
     },
     "normgrowth": {
@@ -51,7 +50,6 @@ _COMMAND_DEFAULTS = {
         "trials": 10,
         "seed": 0,
         "format": "csv",
-        "workers": 1,
         "tau": 0.2,
         "n_grid": "200:3000:10:log",
     },
@@ -67,7 +65,6 @@ _COMMAND_DEFAULTS = {
         "alpha": 1.75,
         "gamma": 0.5,
         "sigma_sq": 1.0,
-        "seed": 0,
     },
 }
 
@@ -95,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trade.add_argument("--tau-grid", dest="tau_grid", help="lo:hi:count (linear)")
     p_trade.add_argument("--out", type=str, help="output file path")
     p_trade.add_argument("--format", choices=("csv", "json"), help="export format")
-    p_trade.add_argument("--workers", type=int, help="concurrent trials per point")
     p_trade.add_argument(
         "--empirical-test-n",
         dest="empirical_test_n",
@@ -111,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--n-grid", dest="n_grid", help="lo:hi:count:log|lin")
     p_norm.add_argument("--out", type=str, help="output file path")
     p_norm.add_argument("--format", choices=("csv", "json"), help="export format")
-    p_norm.add_argument("--workers", type=int, help="concurrent trials per point")
 
     p_diag = sub.add_parser("diagnose", help="random-matrix diagnostics")
     _add_common(p_diag)
@@ -194,6 +189,12 @@ def _regime(options: dict) -> AsymptoticRegime:
         raise ConfigError(str(exc)) from exc
 
 
+def _export(result, options: dict) -> None:
+    if options.get("out"):
+        export(result, options["format"], options["out"])
+        print(f"wrote {options['out']}")
+
+
 def _cmd_tradeoff(options: dict) -> int:
     config = SweepConfig(
         regime=_regime(options),
@@ -202,14 +203,10 @@ def _cmd_tradeoff(options: dict) -> int:
         trials_per_point=int(options["trials"]),
         base_seed=int(options["seed"]),
         n_fixed=int(options["n"]),
-        output_path=options.get("out"),
-        workers=int(options["workers"]),
         n_test=options.get("empirical_test_n"),
     )
     result = run_tradeoff_sweep(config)
-    if config.output_path:
-        export(result, options["format"], config.output_path)
-        print(f"wrote {config.output_path}")
+    _export(result, options)
     for agg in result.aggregates:
         if agg.metric == "test_mse":
             print(
@@ -227,13 +224,9 @@ def _cmd_normgrowth(options: dict) -> int:
         trials_per_point=int(options["trials"]),
         base_seed=int(options["seed"]),
         tau_fixed=float(options["tau"]),
-        output_path=options.get("out"),
-        workers=int(options["workers"]),
     )
     result, fit = run_norm_growth_sweep(config)
-    if config.output_path:
-        export(result, options["format"], config.output_path)
-        print(f"wrote {config.output_path}")
+    _export(result, options)
     print(
         f"norm-growth exponent: slope={fit.slope:.6g} "
         f"intercept={fit.intercept:.6g} r_squared={fit.r_squared:.6g}"

@@ -8,18 +8,20 @@ Two sweep kinds mirror the two synthetic experiments:
   exposing the power-law growth of the squared coefficient norm, whose
   exponent is estimated by least squares in log-log space.
 
-Trials are seeded as base_seed + point_index * 10^6 + trial_index, so a
-row's data never depends on how many trials run beside it, and output is
-byte-identical across re-runs and worker counts (rows are collected and
-sorted before aggregation).  A failed trial aborts the sweep; silent NaN
-rows would poison the quantile ribbons.
+Trial t is seeded as base_seed + t at every grid point, so the grid points
+are common random numbers: each trial draws one dataset at the largest
+sample count and serves the whole grid from it.  A tau grid fits every
+target on that one dataset and its one Gram product; an n grid cuts each
+smaller design out of it with :func:`nested`.  A row's data never depends
+on how many trials run beside it, and output is byte-identical across
+re-runs.  A failed trial aborts the sweep; silent NaN rows would poison the
+quantile ribbons.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, NamedTuple
@@ -34,7 +36,7 @@ from .eigenlearning import (
     select_regularizer,
 )
 from .errors import ConfigError, SweepError
-from .regression import DataModel, empirical_test_mse, fit_ridge, generate
+from .regression import DataModel, empirical_test_mse, fit_ridge, generate, nested
 from .rmt import (
     LimitCdf,
     SpectralMeasure,
@@ -44,7 +46,6 @@ from .rmt import (
     self_consistent_residual,
 )
 
-_POINT_SEED_STRIDE = 10**6
 _METRICS = ("train_mse", "test_mse", "sq_norm")
 CSV_HEADER = "sweep_value,trial,seed,k,r,rho_n,train_mse,test_mse,sq_norm"
 AGG_HEADER = "sweep_value,metric,mean,q20,q50,q80,theory"
@@ -83,8 +84,6 @@ class SweepConfig:
     base_seed: int = 0
     n_fixed: int | None = None  # sample count for tau_grid sweeps
     tau_fixed: float | None = None  # target train error for n_grid sweeps
-    output_path: str | None = None
-    workers: int = 1
     n_test: int | None = None  # held-out empirical test MSE instead of analytic
 
     def __post_init__(self) -> None:
@@ -96,8 +95,6 @@ class SweepConfig:
             raise ConfigError("sweep grid must be strictly increasing")
         if self.trials_per_point < 1:
             raise ConfigError("trials_per_point must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not self.regime.gamma_star > 0.0:
             raise ConfigError("sweeps need gamma_star > 0 to size the feature space")
         if self.n_test is not None and self.n_test < 1:
@@ -171,71 +168,74 @@ def fit_log_log(x: np.ndarray, y: np.ndarray) -> ExponentFit:
     return ExponentFit(slope=float(coef[1]), intercept=float(coef[0]), r_squared=r_squared)
 
 
-def trial_seed(base_seed: int, point_index: int, trial_index: int) -> int:
-    return base_seed + point_index * _POINT_SEED_STRIDE + trial_index
+def trial_seed(base_seed: int, trial_index: int) -> int:
+    return base_seed + trial_index
+
+
+class _GridPoint(NamedTuple):
+    sweep_value: float
+    n: int
+    k: float
+    r: float
+    rho_n: float
+
+
+def _run_trials(config: SweepConfig, points: list[_GridPoint]) -> list[TrialRow]:
+    """Every trial over the whole grid; rows point-major, trial-minor."""
+    by_trial = [_run_trial(config, points, t) for t in range(config.trials_per_point)]
+    return [row for point_rows in zip(*by_trial) for row in point_rows]
 
 
 def _run_trial(
-    config: SweepConfig,
-    sweep_value: float,
-    n: int,
-    k: float,
-    r: float,
-    rho_n: float,
-    trial: int,
-    seed: int,
-) -> TrialRow:
-    regime = config.regime
-    model = DataModel(
-        n=n,
-        p=feature_count(regime, n),
-        alpha=regime.alpha,
-        sigma_sq=regime.sigma_sq,
-        seed=seed,
-    )
-    data = generate(model)
-    fit = fit_ridge(data, rho_n)
-    if config.n_test is None:
-        test_mse = fit.test_mse_analytic
-    else:
-        test_mse = empirical_test_mse(fit.beta_hat, data, config.n_test, seed)
-    return TrialRow(
-        sweep_value=sweep_value,
-        trial=trial,
-        seed=seed,
-        k=k,
-        r=r,
-        rho_n=rho_n,
-        train_mse=fit.train_mse,
-        test_mse=test_mse,
-        sq_norm=fit.sq_norm,
-    )
-
-
-def _run_point(
-    config: SweepConfig,
-    point_index: int,
-    sweep_value: float,
-    n: int,
-    k: float,
-    r: float,
-    rho_n: float,
+    config: SweepConfig, points: list[_GridPoint], trial: int
 ) -> list[TrialRow]:
-    trials = range(config.trials_per_point)
+    """One draw at the grid's largest n, then one fit per grid point.
 
-    def one(trial: int) -> TrialRow:
-        seed = trial_seed(config.base_seed, point_index, trial)
-        try:
-            return _run_trial(config, sweep_value, n, k, r, rho_n, trial, seed)
-        except Exception as exc:  # noqa: BLE001 - re-raised with trial context
-            raise SweepError(sweep_value, trial, str(exc)) from exc
+    The draw lives only as long as this call, so a trial's dataset is
+    released before the next trial draws its own.
+    """
+    regime = config.regime
+    seed = trial_seed(config.base_seed, trial)
 
-    if config.workers == 1:
-        rows = [one(t) for t in trials]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(one, trials))
-    return sorted(rows, key=lambda row: row.trial)
+    def model(n: int) -> DataModel:
+        return DataModel(
+            n=n,
+            p=feature_count(regime, n),
+            alpha=regime.alpha,
+            sigma_sq=regime.sigma_sq,
+            seed=seed,
+        )
+
+    point = points[0]  # a failed draw is reported at the first grid value
+    try:
+        full_model = model(max(pt.n for pt in points))
+        full = generate(full_model)
+        rows = []
+        for point in points:
+            point_model = model(point.n)
+            data = full if point_model == full_model else nested(full, point_model)
+            fit = fit_ridge(data, point.rho_n)
+            if config.n_test is None:
+                test_mse = fit.test_mse_analytic
+            else:
+                test_mse = empirical_test_mse(fit.beta_hat, data, config.n_test, seed)
+            rows.append(
+                TrialRow(
+                    sweep_value=point.sweep_value,
+                    trial=trial,
+                    seed=seed,
+                    k=point.k,
+                    r=point.r,
+                    rho_n=point.rho_n,
+                    train_mse=fit.train_mse,
+                    test_mse=test_mse,
+                    sq_norm=fit.sq_norm,
+                )
+            )
+            del data  # a nested design is freed before the next one is cut
+    except Exception as exc:  # noqa: BLE001 - re-raised with trial context
+        raise SweepError(point.sweep_value, trial, str(exc)) from exc
+    return rows
 
 
 def _aggregate(
@@ -274,15 +274,14 @@ def run_tradeoff_sweep(config: SweepConfig) -> SweepResult:
     regime = config.regime
     check_train_error_monotone(regime)
 
-    rows: list[TrialRow] = []
+    points: list[_GridPoint] = []
     theory: dict[float, tuple[float, float]] = {}
-    for point_index, tau in enumerate(config.grid):
+    for tau in config.grid:
         k, r, rho_n = select_regularizer(regime, tau, config.n_fixed)
         point = asymptotic_errors(regime, k)
         theory[tau] = (point.e_train, point.e_test)
-        rows.extend(
-            _run_point(config, point_index, tau, config.n_fixed, k, r, rho_n)
-        )
+        points.append(_GridPoint(tau, config.n_fixed, k, r, rho_n))
+    rows = _run_trials(config, points)
     return SweepResult(rows=rows, aggregates=_aggregate(rows, theory))
 
 
@@ -300,13 +299,14 @@ def run_norm_growth_sweep(config: SweepConfig) -> tuple[SweepResult, ExponentFit
     k, r, _ = select_regularizer(regime, config.tau_fixed, n=1)
     point = asymptotic_errors(regime, k)
 
-    rows: list[TrialRow] = []
+    points: list[_GridPoint] = []
     theory: dict[float, tuple[float, float]] = {}
-    for point_index, value in enumerate(config.grid):
+    for value in config.grid:
         n = int(value)
         rho_n = r * float(n) ** -regime.alpha
         theory[float(n)] = (point.e_train, point.e_test)
-        rows.extend(_run_point(config, point_index, float(n), n, k, r, rho_n))
+        points.append(_GridPoint(float(n), n, k, r, rho_n))
+    rows = _run_trials(config, points)
 
     result = SweepResult(rows=rows, aggregates=_aggregate(rows, theory))
     ns = np.array(sorted({row.sweep_value for row in rows}))

@@ -9,13 +9,19 @@ matrix; no matrix square root is ever formed.
 Ridge fits use whichever closed form is cheaper: the primal normal
 equations when p <= n, the Woodbury dual form
 beta = X (X^T X + n rho I)^-1 y when p > n.  Both are solved with a
-symmetric positive-definite factorization; sweep_rho amortizes one SVD
-across a whole penalty path.
+symmetric positive-definite factorization of the dataset's Gram matrix,
+which is computed once per dataset and shared by every fit on it, so a
+penalty path costs one Gram product plus one factorization per penalty.
+
+Draws are prefix-consistent: the design of a smaller (n, p) with the same
+seed is the leading block of a larger one, so :func:`nested` can cut a
+whole grid of sample counts out of a single draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -63,6 +69,16 @@ class Dataset:
     eigenvalues: np.ndarray = field(repr=False)  # (p,), lambda_i = i^-alpha
     sigma_sq: float = 0.0
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The matrix fit_ridge factors, before the penalty: X^T X (n x n)
+        when p > n, X X^T / n (p x p) otherwise.  Computed on first use and
+        read-only, since every later fit on this dataset reads it."""
+        p, n = self.X.shape
+        gram = self.X.T @ self.X if p > n else self.X @ self.X.T / n
+        gram.flags.writeable = False
+        return gram
+
 
 @dataclass(frozen=True, eq=False)
 class RidgeFit:
@@ -83,20 +99,42 @@ def generate(model: DataModel) -> Dataset:
     parallel) without changing the result.
     """
     n, p = model.n, model.p
-    lam = np.arange(1, p + 1, dtype=float) ** -model.alpha
+    lam = _spectrum(model)
     sqrt_lam = np.sqrt(lam)
-
-    beta_rng = np.random.default_rng([model.seed, 1])
-    beta_star = beta_rng.standard_normal(p) * np.sqrt(model.beta_variance)
-
-    noise_rng = np.random.default_rng([model.seed, 2])
-    eps = noise_rng.standard_normal(n) * np.sqrt(model.sigma_sq)
-
     column_root = np.random.SeedSequence([model.seed, 3])
     X = np.empty((p, n))
     for j, child in enumerate(column_root.spawn(n)):
         X[:, j] = sqrt_lam * np.random.default_rng(child).standard_normal(p)
+    return _label(model, X, lam)
 
+
+def nested(full: Dataset, model: DataModel) -> Dataset:
+    """The dataset generate(model) would draw, cut out of a larger draw.
+
+    ``full`` must come from generate with the same seed and alpha and at
+    least model's n and p.  Column j's stream does not depend on n and its
+    first p normals do not depend on p, so X is the leading (p, n) block of
+    full.X; only the coefficients and labels (p + n normals) are redrawn.
+    """
+    p_full, n_full = full.X.shape
+    if model.p > p_full or model.n > n_full:
+        raise DomainError(
+            f"cannot cut (p, n) = ({model.p}, {model.n}) out of a "
+            f"({p_full}, {n_full}) draw"
+        )
+    X = np.ascontiguousarray(full.X[: model.p, : model.n])
+    return _label(model, X, _spectrum(model))
+
+
+def _spectrum(model: DataModel) -> np.ndarray:
+    return np.arange(1, model.p + 1, dtype=float) ** -model.alpha
+
+
+def _label(model: DataModel, X: np.ndarray, lam: np.ndarray) -> Dataset:
+    beta_rng = np.random.default_rng([model.seed, 1])
+    beta_star = beta_rng.standard_normal(model.p) * np.sqrt(model.beta_variance)
+    noise_rng = np.random.default_rng([model.seed, 2])
+    eps = noise_rng.standard_normal(model.n) * np.sqrt(model.sigma_sq)
     y = X.T @ beta_star + eps
     return Dataset(X=X, y=y, beta_star=beta_star, eigenvalues=lam, sigma_sq=model.sigma_sq)
 
@@ -137,7 +175,12 @@ def empirical_test_mse(
 
 
 def fit_ridge(data: Dataset, rho: float) -> RidgeFit:
-    """Closed-form ridge fit; dual (Woodbury) form when p > n, primal else."""
+    """Closed-form ridge fit; dual (Woodbury) form when p > n, primal else.
+
+    The penalty is added to a Fortran-ordered copy of the cached Gram, which
+    LAPACK factors in place, so repeated fits on one dataset pay only the
+    factorization.
+    """
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     rho = max(rho, _RHO_FLOOR)
@@ -146,38 +189,22 @@ def fit_ridge(data: Dataset, rho: float) -> RidgeFit:
         raise DomainError("data contains non-finite entries")
     p, n = X.shape
 
-    if p > n:
-        gram = X.T @ X
-        gram[np.diag_indices_from(gram)] += n * rho
-        beta_hat = X @ cho_solve(cho_factor(gram, lower=False), y)
-    else:
-        cov = X @ X.T / n
-        cov[np.diag_indices_from(cov)] += rho
-        beta_hat = cho_solve(cho_factor(cov, lower=False), X @ y / n)
+    dual = p > n
+    work = np.array(data.gram, order="F")
+    work[np.diag_indices_from(work)] += n * rho if dual else rho
+    factor = cho_factor(work, lower=False, overwrite_a=True)
+    beta_hat = X @ cho_solve(factor, y) if dual else cho_solve(factor, X @ y / n)
 
     return _fit_from_beta(data, rho, beta_hat)
 
 
 def sweep_rho(data: Dataset, rho_list: list[float]) -> list[RidgeFit]:
-    """Fit a whole penalty path from a single SVD of X.
-
-    For X = U diag(s) V^T both the primal and dual closed forms collapse to
-    beta(rho) = U diag(s / (s^2 + n rho)) V^T y.
-    """
+    """Fit a whole penalty path; every fit shares the dataset's cached Gram."""
     if not rho_list:
         raise DomainError("rho_list must be non-empty")
     if any(not rho > 0.0 for rho in rho_list):
         raise DomainError("all rho values must be positive")
-    X, y = data.X, data.y
-    n = X.shape[1]
-    U, s, Vh = np.linalg.svd(X, full_matrices=False)
-    c = Vh @ y
-    fits = []
-    for rho in rho_list:
-        rho = max(rho, _RHO_FLOOR)
-        beta_hat = U @ (s / (s**2 + n * rho) * c)
-        fits.append(_fit_from_beta(data, rho, beta_hat))
-    return fits
+    return [fit_ridge(data, rho) for rho in rho_list]
 
 
 def _fit_from_beta(data: Dataset, rho: float, beta_hat: np.ndarray) -> RidgeFit:

@@ -25,6 +25,7 @@ from powerlaw_ridge.harness import (
     run_tradeoff_sweep,
     trial_seed,
 )
+from powerlaw_ridge.regression import DataModel, fit_ridge, generate
 
 REGIME = AsymptoticRegime(alpha=1.75, gamma_star=0.5, sigma_sq=1.0)
 
@@ -74,8 +75,37 @@ class TestExponentFit:
 
 class TestSeedSchedule:
     def test_formula(self):
-        assert trial_seed(7, 0, 0) == 7
-        assert trial_seed(7, 3, 11) == 7 + 3_000_000 + 11
+        assert trial_seed(7, 0) == 7
+        assert trial_seed(7, 11) == 7 + 11
+
+    @pytest.mark.parametrize("kind", ["tau_grid", "n_grid"])
+    def test_rows_equal_fits_on_fresh_draws(self, kind):
+        # every grid point of trial t sees the draw of seed base_seed + t,
+        # whether it is shared (tau grid) or cut out of a larger one (n grid)
+        if kind == "tau_grid":
+            config = tiny_tau_config()
+            rows = run_tradeoff_sweep(config).rows
+        else:
+            config = tiny_n_config()
+            rows = run_norm_growth_sweep(config)[0].rows
+        regime = config.regime
+        assert [(row.sweep_value, row.trial) for row in rows] == [
+            (v, t) for v in config.grid for t in range(config.trials_per_point)
+        ]
+        for row in rows:
+            n = config.n_fixed if kind == "tau_grid" else int(row.sweep_value)
+            model = DataModel(
+                n=n,
+                p=harness.feature_count(regime, n),
+                alpha=regime.alpha,
+                sigma_sq=regime.sigma_sq,
+                seed=config.base_seed + row.trial,
+            )
+            fit = fit_ridge(generate(model), row.rho_n)
+            assert row.seed == model.seed
+            assert row.train_mse == fit.train_mse
+            assert row.test_mse == fit.test_mse_analytic
+            assert row.sq_norm == fit.sq_norm
 
     def test_adding_trials_keeps_existing_rows(self):
         rows_2 = run_tradeoff_sweep(tiny_tau_config(trials_per_point=2)).rows
@@ -120,11 +150,6 @@ class TestTradeoffSweep:
                 # sanity of the aggregation itself at >= 10 trials
                 assert agg.q20 <= agg.mean <= agg.q80
 
-    def test_workers_do_not_change_rows(self):
-        serial = run_tradeoff_sweep(tiny_tau_config(workers=1))
-        threaded = run_tradeoff_sweep(tiny_tau_config(workers=3))
-        assert serial.rows == threaded.rows
-
     def test_empirical_test_metric_flag(self):
         analytic = run_tradeoff_sweep(tiny_tau_config())
         empirical = run_tradeoff_sweep(tiny_tau_config(n_test=500))
@@ -139,6 +164,20 @@ class TestTradeoffSweep:
         monkeypatch.setattr(harness, "generate", boom)
         with pytest.raises(SweepError, match="sweep value 0.2, trial 0"):
             run_tradeoff_sweep(tiny_tau_config())
+
+    def test_failed_fit_names_its_grid_point(self, monkeypatch):
+        calls = []
+
+        def fail_second(data, rho):
+            calls.append(rho)
+            if len(calls) == 2:
+                raise RuntimeError("synthetic failure")
+            return fit_ridge(data, rho)
+
+        monkeypatch.setattr(harness, "fit_ridge", fail_second)
+        with pytest.raises(SweepError, match="sweep value 0.5, trial 0") as caught:
+            run_tradeoff_sweep(tiny_tau_config())
+        assert (caught.value.sweep_value, caught.value.trial) == (0.5, 0)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -200,11 +239,9 @@ class TestConfigValidation:
                 regime=REGIME, sweep_kind="n_grid", grid=(32.5,), tau_fixed=0.2
             )
 
-    def test_trials_and_workers(self):
+    def test_trials_per_point_positive(self):
         with pytest.raises(ConfigError):
             tiny_tau_config(trials_per_point=0)
-        with pytest.raises(ConfigError):
-            tiny_tau_config(workers=0)
 
 
 class TestExport:

@@ -10,6 +10,7 @@ from powerlaw_ridge.regression import (
     empirical_test_mse,
     fit_ridge,
     generate,
+    nested,
     sweep_rho,
 )
 
@@ -63,7 +64,47 @@ class TestGenerate:
             DataModel(n=3, p=3, alpha=2.0, sigma_sq=-1.0)
 
 
+class TestNested:
+    @pytest.mark.parametrize(
+        "full_shape, shape",
+        [((60, 90), (40, 60)), ((60, 90), (60, 30)), ((50, 50), (7, 13))],
+    )
+    def test_equals_a_fresh_draw_bitwise(self, full_shape, shape):
+        (n_full, p_full), (n, p) = full_shape, shape
+        full = generate(DataModel(n=n_full, p=p_full, alpha=1.25, sigma_sq=0.5, seed=41))
+        model = DataModel(n=n, p=p, alpha=1.25, sigma_sq=0.5, seed=41)
+        cut, fresh = nested(full, model), generate(model)
+        for name in ("X", "y", "beta_star", "eigenvalues"):
+            assert np.array_equal(getattr(cut, name), getattr(fresh, name)), name
+        assert cut.sigma_sq == fresh.sigma_sq
+        assert cut.X.flags.c_contiguous
+
+    def test_rejects_a_larger_shape(self):
+        full = small_instance(n=5, p=8)
+        with pytest.raises(DomainError):
+            nested(full, DataModel(n=6, p=8, alpha=1.75, sigma_sq=1.0, seed=3))
+        with pytest.raises(DomainError):
+            nested(full, DataModel(n=5, p=9, alpha=1.75, sigma_sq=1.0, seed=3))
+
+
 class TestFitRidge:
+    @pytest.mark.parametrize("shape", [(30, 70), (70, 30)], ids=["dual", "primal"])
+    def test_cached_gram_gives_identical_fits(self, shape):
+        n, p = shape
+        model = DataModel(n=n, p=p, alpha=1.75, sigma_sq=1.0, seed=19)
+        data = generate(model)
+        first = fit_ridge(data, 1e-3)
+        fit_ridge(data, 0.7)  # a fit at another penalty must not disturb the Gram
+        again = fit_ridge(data, 1e-3)
+        fresh = fit_ridge(generate(model), 1e-3)
+        for fit in (again, fresh):
+            assert np.array_equal(fit.beta_hat, first.beta_hat)
+            assert fit.train_mse == first.train_mse
+            assert fit.test_mse_analytic == first.test_mse_analytic
+            assert fit.sq_norm == first.sq_norm
+        assert data.gram.shape == (min(n, p), min(n, p))
+        assert not data.gram.flags.writeable
+
     def test_dominant_ridge_shrinks_to_zero(self):
         data = small_instance()
         top = float(np.max(np.linalg.eigvalsh(data.X @ data.X.T / data.X.shape[1])))
@@ -205,9 +246,8 @@ class TestSweepRho:
         rhos = list(np.geomspace(1e-4, 100.0, 16))
         sweep = sweep_rho(data, rhos)
         for rho, via_sweep in zip(rhos, sweep):
-            direct = fit_ridge(data, rho)
-            scale = np.linalg.norm(direct.beta_hat)
-            assert np.linalg.norm(via_sweep.beta_hat - direct.beta_hat) <= 1e-8 * scale
+            direct = fit_ridge(small_instance(n=7, p=11, seed=31), rho)
+            assert np.array_equal(via_sweep.beta_hat, direct.beta_hat)
 
     def test_validation(self):
         data = small_instance()
