@@ -9,7 +9,8 @@ Subcommands:
 All options can also be supplied through a JSON file (--config) whose keys
 mirror the long flag names with underscores; explicit flags win.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3 I/O.
+Exit codes: 0 success, 1 configuration error (usage errors included),
+2 numerical failure, 3 I/O.
 """
 
 from __future__ import annotations
@@ -69,16 +70,23 @@ _COMMAND_DEFAULTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError instead of exiting with status 2,
+    which the exit-code contract reserves for numerical failures."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, help="power-law spectral exponent")
     parser.add_argument("--gamma", type=float, help="asymptotic ratio n/p")
     parser.add_argument("--sigma-sq", type=float, dest="sigma_sq", help="noise variance")
-    parser.add_argument("--seed", type=int, help="base RNG seed")
     parser.add_argument("--config", type=str, help="JSON file mirroring the flags")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powerlaw-ridge",
         description="trade-off curves and Monte-Carlo validation for "
         "near-interpolating ridge regression under power-law spectra",
@@ -118,6 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--tau", type=float, help="target train error")
     p_solve.add_argument("--n", type=int, help="sample count fixing rho_n")
 
+    for seeded in (p_trade, p_norm, p_diag):
+        seeded.add_argument("--seed", type=int, help="base RNG seed")
     return parser
 
 
@@ -269,8 +279,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         options = _merge_options(args)
         return _COMMANDS[args.command](options)
     except ConfigError as exc:

@@ -152,14 +152,15 @@ def _solve_k_crit(regime: AsymptoticRegime) -> float:
     if g == 0.0:
         # I(k) = 1 exactly at k = c_alpha^alpha
         return _limit_constant(regime.alpha) ** regime.alpha
-    lo, hi = _bracket_decreasing(lambda k: integral_i(regime, k) - 1.0, 1.0)
-    return _bisect_newton(
-        lambda k: integral_i(regime, k) - 1.0,
-        lambda k: _di_dk(regime, k),
-        lo,
-        hi,
-        f_tol=1e-14,
-    )
+
+    def f(k: float) -> float:
+        return integral_i(regime, k) - 1.0
+
+    hi = _grow_bracket(f, 1.0, "I(k) = 1")
+    # the lower edge is the last hi that failed: the iterates, and so the
+    # last bits of k_crit, depend on it
+    lo = 0.0 if hi == 1.0 else hi / 4.0
+    return _bisect_newton(f, lambda k: _di_dk(regime, k), lo, hi, f_tol=1e-14)
 
 
 def k_of_r(regime: AsymptoticRegime, r: float) -> float:
@@ -172,21 +173,18 @@ def k_of_r(regime: AsymptoticRegime, r: float) -> float:
         if r_of_k(regime, lo) < r:
             break
         lo = kc + (lo - kc) / 1024.0
-    hi = max(10.0 * r, 2.0 * lo, 1.0)
-    for _ in range(200):
-        if r_of_k(regime, hi) >= r:
-            break
-        hi *= 4.0
-    else:
-        raise ConvergenceError(f"could not bracket R(k) = {r}")
-    k = _bisect_newton(
-        lambda k: r_of_k(regime, k) - r,
-        lambda k: 1.0 - integral_j(regime, k),  # dR/dk = 1 - J(k)
+
+    def f(k: float) -> float:
+        return r - r_of_k(regime, k)
+
+    hi = _grow_bracket(f, max(10.0 * r, 2.0 * lo, 1.0), f"R(k) = {r}")
+    return _bisect_newton(
+        f,
+        lambda k: integral_j(regime, k) - 1.0,  # -dR/dk = J(k) - 1
         lo,
         hi,
         f_tol=_RESIDUAL_TOL * max(1.0, r),
     )
-    return k
 
 
 def asymptotic_errors(regime: AsymptoticRegime, k: float) -> EigenlearningPoint:
@@ -231,41 +229,26 @@ def select_regularizer(
 
     kc = regime.k_crit
     lo = kc + 1e-12 * max(kc, 1.0) if kc > 0.0 else 1e-12
-    hi = max(2.0 * lo, 1.0)
-    for _ in range(200):
-        if train_error_of_k(regime, hi) >= tau:
-            break
-        hi *= 4.0
-    else:
-        raise ConvergenceError(f"could not bracket E_train(k) = {tau}")
-    if train_error_of_k(regime, lo) > tau:
+
+    def f(k: float) -> float:
+        return tau - train_error_of_k(regime, k)
+
+    hi = _grow_bracket(f, max(2.0 * lo, 1.0), f"E_train(k) = {tau}")
+    e_lo = train_error_of_k(regime, lo)
+    if e_lo > tau:
         raise DomainError(
             f"tau = {tau} is below the smallest train error reachable in this "
-            f"regime (E_train({lo:.3g}) = {train_error_of_k(regime, lo):.6g})"
+            f"regime (E_train({lo:.3g}) = {e_lo:.6g})"
         )
-
-    f_lo = train_error_of_k(regime, lo) - tau
-    k = lo
-    f_mid = f_lo
-    for _ in range(_MAX_BISECTIONS):
-        k = 0.5 * (lo + hi)
-        f_mid = train_error_of_k(regime, k) - tau
-        if abs(f_mid) < 1e-11 * sig:
-            break
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = k, f_mid
-        else:
-            hi = k
-    if abs(f_mid) > 1e-10 * sig:
+    # E_train has no derivative at hand here, so the solver bisects
+    k = _bisect_newton(f, None, lo, hi, f_tol=1e-11 * sig)
+    point = asymptotic_errors(regime, k)
+    residual = point.e_train - tau
+    if abs(residual) > 1e-10 * sig:
         raise ConvergenceError(
-            f"train-error solve stalled at tau = {tau} (residual {f_mid:.3e})"
+            f"train-error solve stalled at tau = {tau} (residual {residual:.3e})"
         )
-
-    r = r_of_k(regime, k)
-    rho_n = r * float(n) ** -regime.alpha
-    return k, r, rho_n
+    return k, point.r, point.r * float(n) ** -regime.alpha
 
 
 def check_train_error_monotone(
@@ -359,16 +342,14 @@ def _solve_kappa(lam: np.ndarray, delta: float, n: int) -> float:
     return _bisect_newton(g, g_prime, lo, hi, f_tol=1e-12 * n)
 
 
-def _bracket_decreasing(f, start: float) -> tuple[float, float]:
-    # bracket the root of a decreasing function that is positive at 0+
-    lo = 0.0
-    hi = start
+def _grow_bracket(f, hi: float, what: str) -> float:
+    """Right edge for a root of the decreasing f: the first hi * 4^j with
+    f(hi) <= 0."""
     for _ in range(200):
         if f(hi) <= 0.0:
-            return lo, hi
-        lo = hi
+            return hi
         hi *= 4.0
-    raise ConvergenceError("failed to bracket a sign change")
+    raise ConvergenceError(f"could not bracket {what}")
 
 
 def _bisect_newton(f, f_prime, lo: float, hi: float, f_tol: float) -> float:
@@ -377,7 +358,8 @@ def _bisect_newton(f, f_prime, lo: float, hi: float, f_tol: float) -> float:
     Assumes f(lo) <= 0 <= f(hi) or the reverse; keeps bisecting whenever the
     Newton step leaves the bracket.  Once the residual meets f_tol a few
     pure Newton steps polish the root in x, which matters where f' is small
-    and a residual criterion alone would under-resolve the root.
+    and a residual criterion alone would under-resolve the root.  With
+    f_prime None it bisects plainly and returns the midpoint unpolished.
     """
     f_lo = f(lo)
     f_hi = f(hi)
@@ -400,7 +382,7 @@ def _bisect_newton(f, f_prime, lo: float, hi: float, f_tol: float) -> float:
             hi = x
         else:
             lo = x
-        d = f_prime(x)
+        d = 0.0 if f_prime is None else f_prime(x)
         if d != 0.0 and math.isfinite(d):
             step = x - fx / d
             x = step if lo < step < hi else 0.5 * (lo + hi)
@@ -412,6 +394,8 @@ def _bisect_newton(f, f_prime, lo: float, hi: float, f_tol: float) -> float:
 
 
 def _newton_polish(f, f_prime, x: float, lo: float, hi: float) -> float:
+    if f_prime is None:
+        return x
     eps = float(np.finfo(float).eps)
     for _ in range(8):
         d = f_prime(x)

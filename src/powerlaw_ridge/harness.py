@@ -16,6 +16,9 @@ smaller design out of it with :func:`nested`.  A row's data never depends
 on how many trials run beside it, and output is byte-identical across
 re-runs.  A failed trial aborts the sweep; silent NaN rows would poison the
 quantile ribbons.
+
+The export schema is the field list of :class:`TrialRow` and
+:class:`AggregateRow`: CSV headers and JSON keys are read from it.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ from .rmt import (
     self_consistent_residual,
 )
 
-_METRICS = ("train_mse", "test_mse", "sq_norm")
-CSV_HEADER = "sweep_value,trial,seed,k,r,rho_n,train_mse,test_mse,sq_norm"
-AGG_HEADER = "sweep_value,metric,mean,q20,q50,q80,theory"
-
 
 class TrialRow(NamedTuple):
     sweep_value: float
@@ -71,6 +70,10 @@ class AggregateRow(NamedTuple):
     q50: float
     q80: float
     theory: float  # nan when the metric has no closed-form prediction
+
+
+CSV_HEADER = ",".join(TrialRow._fields)
+AGG_HEADER = ",".join(AggregateRow._fields)
 
 
 @dataclass(frozen=True)
@@ -178,12 +181,19 @@ class _GridPoint(NamedTuple):
     k: float
     r: float
     rho_n: float
+    theory_train: float
+    theory_test: float
 
 
-def _run_trials(config: SweepConfig, points: list[_GridPoint]) -> list[TrialRow]:
+def _run_sweep(config: SweepConfig, points: list[_GridPoint]) -> SweepResult:
     """Every trial over the whole grid; rows point-major, trial-minor."""
     by_trial = [_run_trial(config, points, t) for t in range(config.trials_per_point)]
-    return [row for point_rows in zip(*by_trial) for row in point_rows]
+    rows: list[TrialRow] = []
+    aggregates: list[AggregateRow] = []
+    for point, point_rows in zip(points, zip(*by_trial)):
+        rows.extend(point_rows)
+        aggregates.extend(_aggregate(point, point_rows))
+    return SweepResult(rows=rows, aggregates=aggregates)
 
 
 def _run_trial(
@@ -238,32 +248,26 @@ def _run_trial(
     return rows
 
 
-def _aggregate(
-    rows: list[TrialRow], theory: dict[float, tuple[float, float]]
-) -> list[AggregateRow]:
-    aggregates: list[AggregateRow] = []
-    for sweep_value in sorted({row.sweep_value for row in rows}):
-        point_rows = [row for row in rows if row.sweep_value == sweep_value]
-        theory_train, theory_test = theory[sweep_value]
-        for metric in _METRICS:
-            values = np.array([getattr(row, metric) for row in point_rows])
-            q20, q50, q80 = np.quantile(values, [0.2, 0.5, 0.8])
-            theory_value = {
-                "train_mse": theory_train,
-                "test_mse": theory_test,
-                "sq_norm": math.nan,
-            }[metric]
-            aggregates.append(
-                AggregateRow(
-                    sweep_value=sweep_value,
-                    metric=metric,
-                    mean=float(np.mean(values)),
-                    q20=float(q20),
-                    q50=float(q50),
-                    q80=float(q80),
-                    theory=theory_value,
-                )
+def _aggregate(point: _GridPoint, rows: tuple[TrialRow, ...]) -> list[AggregateRow]:
+    aggregates = []
+    for metric, theory in (
+        ("train_mse", point.theory_train),
+        ("test_mse", point.theory_test),
+        ("sq_norm", math.nan),
+    ):
+        values = np.array([getattr(row, metric) for row in rows])
+        q20, q50, q80 = np.quantile(values, [0.2, 0.5, 0.8])
+        aggregates.append(
+            AggregateRow(
+                sweep_value=point.sweep_value,
+                metric=metric,
+                mean=float(np.mean(values)),
+                q20=float(q20),
+                q50=float(q50),
+                q80=float(q80),
+                theory=theory,
             )
+        )
     return aggregates
 
 
@@ -274,15 +278,14 @@ def run_tradeoff_sweep(config: SweepConfig) -> SweepResult:
     regime = config.regime
     check_train_error_monotone(regime)
 
-    points: list[_GridPoint] = []
-    theory: dict[float, tuple[float, float]] = {}
+    points = []
     for tau in config.grid:
         k, r, rho_n = select_regularizer(regime, tau, config.n_fixed)
-        point = asymptotic_errors(regime, k)
-        theory[tau] = (point.e_train, point.e_test)
-        points.append(_GridPoint(tau, config.n_fixed, k, r, rho_n))
-    rows = _run_trials(config, points)
-    return SweepResult(rows=rows, aggregates=_aggregate(rows, theory))
+        theory = asymptotic_errors(regime, k)
+        points.append(
+            _GridPoint(tau, config.n_fixed, k, r, rho_n, theory.e_train, theory.e_test)
+        )
+    return _run_sweep(config, points)
 
 
 def run_norm_growth_sweep(config: SweepConfig) -> tuple[SweepResult, ExponentFit]:
@@ -297,26 +300,19 @@ def run_norm_growth_sweep(config: SweepConfig) -> tuple[SweepResult, ExponentFit
     check_train_error_monotone(regime)
 
     k, r, _ = select_regularizer(regime, config.tau_fixed, n=1)
-    point = asymptotic_errors(regime, k)
-
-    points: list[_GridPoint] = []
-    theory: dict[float, tuple[float, float]] = {}
-    for value in config.grid:
-        n = int(value)
-        rho_n = r * float(n) ** -regime.alpha
-        theory[float(n)] = (point.e_train, point.e_test)
-        points.append(_GridPoint(float(n), n, k, r, rho_n))
-    rows = _run_trials(config, points)
-
-    result = SweepResult(rows=rows, aggregates=_aggregate(rows, theory))
-    ns = np.array(sorted({row.sweep_value for row in rows}))
-    mean_norms = np.array(
-        [
-            np.mean([row.sq_norm for row in rows if row.sweep_value == n])
-            for n in ns
-        ]
+    theory = asymptotic_errors(regime, k)
+    points = [
+        _GridPoint(
+            float(n), n, k, r, r * float(n) ** -regime.alpha, theory.e_train, theory.e_test
+        )
+        for n in map(int, config.grid)
+    ]
+    result = _run_sweep(config, points)
+    norms = [agg for agg in result.aggregates if agg.metric == "sq_norm"]
+    fit = fit_log_log(
+        np.array([agg.sweep_value for agg in norms]), np.array([agg.mean for agg in norms])
     )
-    return result, fit_log_log(ns, mean_norms)
+    return result, fit
 
 
 def run_diagnostics(
@@ -396,40 +392,20 @@ def format_diagnostics(report: DiagnosticsReport) -> str:
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def result_payload(result: SweepResult) -> dict:
     """JSON-ready mirror of the CSV schema (nan theory becomes null)."""
     return {
-        "rows": [
-            {
-                "sweep_value": row.sweep_value,
-                "trial": row.trial,
-                "seed": row.seed,
-                "k": row.k,
-                "r": row.r,
-                "rho_n": row.rho_n,
-                "train_mse": row.train_mse,
-                "test_mse": row.test_mse,
-                "sq_norm": row.sq_norm,
-            }
-            for row in result.rows
-        ],
-        "aggregates": [
-            {
-                "sweep_value": agg.sweep_value,
-                "metric": agg.metric,
-                "mean": agg.mean,
-                "q20": agg.q20,
-                "q50": agg.q50,
-                "q80": agg.q80,
-                "theory": None if math.isnan(agg.theory) else agg.theory,
-            }
-            for agg in result.aggregates
-        ],
+        "rows": [row._asdict() for row in result.rows],
+        "aggregates": [agg._asdict() for agg in _blank_theory(result, None)],
     }
+
+
+def _blank_theory(result: SweepResult, blank) -> list[AggregateRow]:
+    # a metric without a closed-form prediction exports its theory as blank
+    return [
+        agg._replace(theory=blank) if math.isnan(agg.theory) else agg
+        for agg in result.aggregates
+    ]
 
 
 def aggregate_path(path: str | Path) -> Path:
@@ -444,7 +420,8 @@ def export(result: SweepResult, fmt: Literal["csv", "json"], path: str | Path) -
     path = Path(path)
     try:
         if fmt == "csv":
-            _write_csv(result, path)
+            _write_table(path, CSV_HEADER, result.rows)
+            _write_table(aggregate_path(path), AGG_HEADER, _blank_theory(result, ""))
         elif fmt == "json":
             payload = json.dumps(result_payload(result), indent=2, allow_nan=False)
             path.write_text(payload + "\n", encoding="utf-8")
@@ -454,39 +431,13 @@ def export(result: SweepResult, fmt: Literal["csv", "json"], path: str | Path) -
         raise type(exc)(f"export to {path} failed: {exc}") from exc
 
 
-def _write_csv(result: SweepResult, path: Path) -> None:
-    lines = [CSV_HEADER]
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.sweep_value),
-                    str(row.trial),
-                    str(row.seed),
-                    _fmt(row.k),
-                    _fmt(row.r),
-                    _fmt(row.rho_n),
-                    _fmt(row.train_mse),
-                    _fmt(row.test_mse),
-                    _fmt(row.sq_norm),
-                ]
-            )
-        )
+def _write_table(path: Path, header: str, rows) -> None:
+    lines = [header]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    agg_lines = [AGG_HEADER]
-    for agg in result.aggregates:
-        agg_lines.append(
-            ",".join(
-                [
-                    _fmt(agg.sweep_value),
-                    agg.metric,
-                    _fmt(agg.mean),
-                    _fmt(agg.q20),
-                    _fmt(agg.q50),
-                    _fmt(agg.q80),
-                    "" if math.isnan(agg.theory) else _fmt(agg.theory),
-                ]
-            )
-        )
-    aggregate_path(path).write_text("\n".join(agg_lines) + "\n", encoding="utf-8")
+
+def _cell(value) -> str:
+    if isinstance(value, (str, int)):
+        return str(value)
+    return f"{value:.17g}"

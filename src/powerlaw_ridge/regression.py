@@ -10,8 +10,9 @@ Ridge fits use whichever closed form is cheaper: the primal normal
 equations when p <= n, the Woodbury dual form
 beta = X (X^T X + n rho I)^-1 y when p > n.  Both are solved with a
 symmetric positive-definite factorization of the dataset's Gram matrix,
-which is computed once per dataset and shared by every fit on it, so a
-penalty path costs one Gram product plus one factorization per penalty.
+which is computed once per dataset and shared by every fit on it, so fits
+at several penalties (a harness tau grid) cost one Gram product plus one
+factorization per penalty.
 
 Draws are prefix-consistent: the design of a smaller (n, p) with the same
 seed is the leading block of a larger one, so :func:`nested` can cut a
@@ -195,20 +196,7 @@ def fit_ridge(data: Dataset, rho: float) -> RidgeFit:
     factor = cho_factor(work, lower=False, overwrite_a=True)
     beta_hat = X @ cho_solve(factor, y) if dual else cho_solve(factor, X @ y / n)
 
-    return _fit_from_beta(data, rho, beta_hat)
-
-
-def sweep_rho(data: Dataset, rho_list: list[float]) -> list[RidgeFit]:
-    """Fit a whole penalty path; every fit shares the dataset's cached Gram."""
-    if not rho_list:
-        raise DomainError("rho_list must be non-empty")
-    if any(not rho > 0.0 for rho in rho_list):
-        raise DomainError("all rho values must be positive")
-    return [fit_ridge(data, rho) for rho in rho_list]
-
-
-def _fit_from_beta(data: Dataset, rho: float, beta_hat: np.ndarray) -> RidgeFit:
-    residual = data.X.T @ beta_hat - data.y
+    residual = X.T @ beta_hat - y
     return RidgeFit(
         beta_hat=beta_hat,
         rho=rho,

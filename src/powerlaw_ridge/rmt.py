@@ -54,10 +54,6 @@ class SpectralMeasure:
             raise DomainError("eigenvalues of a PSD matrix must be nonnegative")
         return cls(atoms)
 
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.atoms.size
-
 
 @dataclass(frozen=True)
 class LimitCdf:

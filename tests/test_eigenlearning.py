@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import powerlaw_ridge.eigenlearning as eigenlearning
 from powerlaw_ridge.eigenlearning import (
     AsymptoticRegime,
     asymptotic_errors,
@@ -28,7 +29,7 @@ from powerlaw_ridge.eigenlearning import (
     select_regularizer,
     train_error_of_k,
 )
-from powerlaw_ridge.errors import DomainError
+from powerlaw_ridge.errors import ConvergenceError, DomainError
 from powerlaw_ridge.specfun import QuadratureSpec, adaptive_gauss_legendre
 
 REGIME_SQUARE = AsymptoticRegime(alpha=2.0, gamma_star=1.0, sigma_sq=1.0)
@@ -256,6 +257,27 @@ class TestSelectRegularizer:
             select_regularizer(regime, 0.2, 100)
         k, _, _ = select_regularizer(regime, 0.8, 100)
         assert train_error_of_k(regime, k) == pytest.approx(0.8, abs=1e-10)
+
+    def test_unbracketed_train_error_raises(self, monkeypatch):
+        # a train error that never reaches tau leaves no sign change to find
+        monkeypatch.setattr(
+            eigenlearning, "train_error_of_k", lambda regime, k: 0.1 * regime.sigma_sq
+        )
+        with pytest.raises(ConvergenceError, match="could not bracket"):
+            select_regularizer(REGIME_PAPER, 0.5, 100)
+
+    @pytest.mark.parametrize("alpha", [1.75, 4.0])
+    @pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
+    def test_tau_on_reachable_floor(self, alpha, sigma_sq):
+        # gamma_star = 2 puts the floor at sigma_sq / 2, which these regimes
+        # hit exactly at the solver's lower edge k = 1e-12
+        regime = AsymptoticRegime(alpha=alpha, gamma_star=2.0, sigma_sq=sigma_sq)
+        tau = sigma_sq / 2.0
+        assert train_error_of_k(regime, 1e-12) == tau
+        k, r, rho_n = select_regularizer(regime, tau, 100)
+        assert abs(train_error_of_k(regime, k) - tau) <= 1e-11 * sigma_sq
+        assert r == r_of_k(regime, k)
+        assert rho_n == r * 100.0**-alpha
 
     def test_limit_directions(self):
         # tau near sigma_sq pushes k (and rho_n) up; tau near 0 pulls k down

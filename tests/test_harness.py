@@ -393,5 +393,26 @@ class TestCli:
         )
         assert code == 3
 
+    def test_seed_only_on_seeded_commands(self, tmp_path, capsys):
+        assert cli_main(["solve", "--tau", "0.2", "--n", "100", "--seed", "5"]) == 1
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"tau": 0.2, "n": 100, "seed": 5}))
+        assert cli_main(["solve", "--config", str(config)]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--bogus", "1"], [], ["solve", "--n", "abc"]]
+    )
+    def test_usage_errors_are_config_errors(self, argv, capsys):
+        # exit 2 is reserved for numerical failures
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["solve", "--help"])
+        assert exit_info.value.code == 0
+        assert "--tau" in capsys.readouterr().out
+
     def test_bad_grid_is_config_error(self, capsys):
         assert cli_main(["tradeoff", "--tau-grid", "nope"]) == 1

@@ -11,7 +11,6 @@ from powerlaw_ridge.regression import (
     fit_ridge,
     generate,
     nested,
-    sweep_rho,
 )
 
 
@@ -221,40 +220,26 @@ class TestEmpiricalTestMse:
 
 
 class TestSweepRho:
-    def test_single_rho_matches_fit_ridge(self):
-        data = small_instance(seed=17)
-        sweep = sweep_rho(data, [0.3])[0]
-        fit = fit_ridge(data, 0.3)
-        assert np.linalg.norm(sweep.beta_hat - fit.beta_hat) <= 1e-8 * np.linalg.norm(
-            fit.beta_hat
-        )
+    """Fits along a sweep of rho on one dataset, sharing its cached Gram."""
 
     def test_norm_monotone_decreasing_in_rho(self):
         data = small_instance(n=6, p=12, seed=23)
-        fits = sweep_rho(data, list(np.geomspace(1e-6, 10.0, 12)))
+        fits = [fit_ridge(data, rho) for rho in np.geomspace(1e-6, 10.0, 12)]
         norms = [fit.sq_norm for fit in fits]
         assert all(a >= b for a, b in zip(norms, norms[1:]))
 
     def test_train_mse_nondecreasing_in_rho(self):
         data = small_instance(n=6, p=12, seed=29)
-        fits = sweep_rho(data, list(np.geomspace(1e-6, 10.0, 12)))
+        fits = [fit_ridge(data, rho) for rho in np.geomspace(1e-6, 10.0, 12)]
         train = [fit.train_mse for fit in fits]
         assert all(b >= a for a, b in zip(train, train[1:]))
 
     def test_grid_matches_independent_fits(self):
         data = small_instance(n=7, p=11, seed=31)
-        rhos = list(np.geomspace(1e-4, 100.0, 16))
-        sweep = sweep_rho(data, rhos)
-        for rho, via_sweep in zip(rhos, sweep):
+        for rho in np.geomspace(1e-4, 100.0, 16):
+            shared = fit_ridge(data, rho)
             direct = fit_ridge(small_instance(n=7, p=11, seed=31), rho)
-            assert np.array_equal(via_sweep.beta_hat, direct.beta_hat)
-
-    def test_validation(self):
-        data = small_instance()
-        with pytest.raises(DomainError):
-            sweep_rho(data, [])
-        with pytest.raises(DomainError):
-            sweep_rho(data, [0.1, 0.0])
+            assert np.array_equal(shared.beta_hat, direct.beta_hat)
 
 
 class TestNormLowerBound:
