@@ -156,11 +156,13 @@ def _solve_k_crit(regime: AsymptoticRegime) -> float:
     def f(k: float) -> float:
         return integral_i(regime, k) - 1.0
 
-    hi = _grow_bracket(f, 1.0, "I(k) = 1")
+    hi, f_hi = _grow_bracket(f, 1.0, "I(k) = 1")
     # the lower edge is the last hi that failed: the iterates, and so the
     # last bits of k_crit, depend on it
     lo = 0.0 if hi == 1.0 else hi / 4.0
-    return _bisect_newton(f, lambda k: _di_dk(regime, k), lo, hi, f_tol=1e-14)
+    return _bisect_newton(
+        f, lambda k: _di_dk(regime, k), lo, hi, f_tol=1e-14, f_hi=f_hi
+    )
 
 
 def k_of_r(regime: AsymptoticRegime, r: float) -> float:
@@ -177,13 +179,14 @@ def k_of_r(regime: AsymptoticRegime, r: float) -> float:
     def f(k: float) -> float:
         return r - r_of_k(regime, k)
 
-    hi = _grow_bracket(f, max(10.0 * r, 2.0 * lo, 1.0), f"R(k) = {r}")
+    hi, f_hi = _grow_bracket(f, max(10.0 * r, 2.0 * lo, 1.0), f"R(k) = {r}")
     return _bisect_newton(
         f,
         lambda k: integral_j(regime, k) - 1.0,  # -dR/dk = J(k) - 1
         lo,
         hi,
         f_tol=_RESIDUAL_TOL * max(1.0, r),
+        f_hi=f_hi,
     )
 
 
@@ -233,7 +236,7 @@ def select_regularizer(
     def f(k: float) -> float:
         return tau - train_error_of_k(regime, k)
 
-    hi = _grow_bracket(f, max(2.0 * lo, 1.0), f"E_train(k) = {tau}")
+    hi, f_hi = _grow_bracket(f, max(2.0 * lo, 1.0), f"E_train(k) = {tau}")
     e_lo = train_error_of_k(regime, lo)
     if e_lo > tau:
         raise DomainError(
@@ -241,7 +244,9 @@ def select_regularizer(
             f"regime (E_train({lo:.3g}) = {e_lo:.6g})"
         )
     # E_train has no derivative at hand here, so the solver bisects
-    k = _bisect_newton(f, None, lo, hi, f_tol=1e-11 * sig)
+    k = _bisect_newton(
+        f, None, lo, hi, f_tol=1e-11 * sig, f_lo=tau - e_lo, f_hi=f_hi
+    )
     point = asymptotic_errors(regime, k)
     residual = point.e_train - tau
     if abs(residual) > 1e-10 * sig:
@@ -342,17 +347,20 @@ def _solve_kappa(lam: np.ndarray, delta: float, n: int) -> float:
     return _bisect_newton(g, g_prime, lo, hi, f_tol=1e-12 * n)
 
 
-def _grow_bracket(f, hi: float, what: str) -> float:
+def _grow_bracket(f, hi: float, what: str) -> tuple[float, float]:
     """Right edge for a root of the decreasing f: the first hi * 4^j with
-    f(hi) <= 0."""
+    f(hi) <= 0, returned with f(hi)."""
     for _ in range(200):
-        if f(hi) <= 0.0:
-            return hi
+        f_hi = f(hi)
+        if f_hi <= 0.0:
+            return hi, f_hi
         hi *= 4.0
     raise ConvergenceError(f"could not bracket {what}")
 
 
-def _bisect_newton(f, f_prime, lo: float, hi: float, f_tol: float) -> float:
+def _bisect_newton(
+    f, f_prime, lo: float, hi: float, f_tol: float, f_lo=None, f_hi=None
+) -> float:
     """Safeguarded root finder: Newton steps clipped to a shrinking bracket.
 
     Assumes f(lo) <= 0 <= f(hi) or the reverse; keeps bisecting whenever the
@@ -360,9 +368,13 @@ def _bisect_newton(f, f_prime, lo: float, hi: float, f_tol: float) -> float:
     pure Newton steps polish the root in x, which matters where f' is small
     and a residual criterion alone would under-resolve the root.  With
     f_prime None it bisects plainly and returns the midpoint unpolished.
+    A caller that already evaluated f at an edge passes the value as f_lo
+    or f_hi, and f is not evaluated there again.
     """
-    f_lo = f(lo)
-    f_hi = f(hi)
+    if f_lo is None:
+        f_lo = f(lo)
+    if f_hi is None:
+        f_hi = f(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:

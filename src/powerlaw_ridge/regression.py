@@ -10,9 +10,10 @@ Ridge fits use whichever closed form is cheaper: the primal normal
 equations when p <= n, the Woodbury dual form
 beta = X (X^T X + n rho I)^-1 y when p > n.  Both are solved with a
 symmetric positive-definite factorization of the dataset's Gram matrix,
-which is computed once per dataset and shared by every fit on it, so fits
-at several penalties (a harness tau grid) cost one Gram product plus one
-factorization per penalty.
+which is computed (and checked finite, with the data) once per dataset and
+shared by every fit on it, so fits at several penalties (a harness tau
+grid) cost one Gram product plus, per penalty, one copy of the Gram that
+LAPACK factors in place; a fit scans no full matrix for finiteness.
 
 Draws are prefix-consistent: the design of a smaller (n, p) with the same
 seed is the leading block of a larger one, so :func:`nested` can cut a
@@ -25,13 +26,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DomainError
 
 # Definition of the estimator requires rho > 0; values this small only guard
 # against accidental underflow to zero.
 _RHO_FLOOR = 1e-300
+
+# generate draws this many sample columns into a row-major buffer before
+# writing them into X; 128 rows of p = 2000 are 2 MB.
+_BLOCK_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -73,10 +78,23 @@ class Dataset:
     @cached_property
     def gram(self) -> np.ndarray:
         """The matrix fit_ridge factors, before the penalty: X^T X (n x n)
-        when p > n, X X^T / n (p x p) otherwise.  Computed on first use and
-        read-only, since every later fit on this dataset reads it."""
-        p, n = self.X.shape
-        gram = self.X.T @ self.X if p > n else self.X @ self.X.T / n
+        when p > n, X X^T / n (p x p) otherwise.
+
+        Computed on first use, which is also the one finiteness check for
+        every fit on this dataset: non-finite entries in X or y, or a Gram
+        that overflows, raise DomainError here.  The product is taken on a
+        C-ordered X, which numpy hands to BLAS syrk, so the Gram is exactly
+        symmetric.  Read-only, since every later fit on this dataset reads
+        it.
+        """
+        X = np.ascontiguousarray(self.X)
+        if not (np.isfinite(X).all() and np.isfinite(self.y).all()):
+            raise DomainError("data contains non-finite entries")
+        p, n = X.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = X.T @ X if p > n else X @ X.T / n
+        if not np.isfinite(gram).all():
+            raise DomainError("the Gram matrix of the design overflows")
         gram.flags.writeable = False
         return gram
 
@@ -97,15 +115,23 @@ def generate(model: DataModel) -> Dataset:
 
     Separate generator streams are derived for the coefficients, the noise,
     and each sample column, so columns could be produced in any order (or in
-    parallel) without changing the result.
+    parallel) without changing the result.  Columns are drawn as contiguous
+    rows of a small block buffer, scaled there, and each block is written
+    into the C-ordered X once, so no column is written with a stride.  X is
+    not checked here; Dataset.gram checks it once for every fit.
     """
     n, p = model.n, model.p
     lam = _spectrum(model)
     sqrt_lam = np.sqrt(lam)
-    column_root = np.random.SeedSequence([model.seed, 3])
+    streams = np.random.SeedSequence([model.seed, 3]).spawn(n)
     X = np.empty((p, n))
-    for j, child in enumerate(column_root.spawn(n)):
-        X[:, j] = sqrt_lam * np.random.default_rng(child).standard_normal(p)
+    block = np.empty((min(_BLOCK_COLUMNS, n), p))
+    for j0 in range(0, n, _BLOCK_COLUMNS):
+        rows = block[: min(_BLOCK_COLUMNS, n - j0)]
+        for row, child in zip(rows, streams[j0 : j0 + len(rows)]):
+            np.random.default_rng(child).standard_normal(out=row)
+        rows *= sqrt_lam
+        X[:, j0 : j0 + len(rows)] = rows.T
     return _label(model, X, lam)
 
 
@@ -178,23 +204,44 @@ def empirical_test_mse(
 def fit_ridge(data: Dataset, rho: float) -> RidgeFit:
     """Closed-form ridge fit; dual (Woodbury) form when p > n, primal else.
 
-    The penalty is added to a Fortran-ordered copy of the cached Gram, which
-    LAPACK factors in place, so repeated fits on one dataset pay only the
-    factorization.
+    The data and the Gram are checked finite once per dataset, by
+    Dataset.gram; a fit checks only its penalty, and the one full matrix it
+    copies is the cached Gram, which LAPACK factors in place.  Repeated fits
+    on one dataset pay only that copy, the factorization and the
+    matrix-vector products.  A penalty that overflows the Gram's diagonal,
+    or one too small for the Cholesky factorization to succeed in floating
+    point, raises DomainError.
     """
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     rho = max(rho, _RHO_FLOOR)
     X, y = data.X, data.y
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise DomainError("data contains non-finite entries")
     p, n = X.shape
+    gram = data.gram
 
     dual = p > n
-    work = np.array(data.gram, order="F")
-    work[np.diag_indices_from(work)] += n * rho if dual else rho
-    factor = cho_factor(work, lower=False, overwrite_a=True)
-    beta_hat = X @ cho_solve(factor, y) if dual else cho_solve(factor, X @ y / n)
+    penalty = n * rho if dual else rho
+    name = "n*rho" if dual else "rho"
+    # the Gram is exactly symmetric, so its transposed copy is the
+    # Fortran-ordered matrix LAPACK wants, made by a plain memcpy
+    work = gram.copy().T
+    diagonal = np.diag_indices_from(work)
+    work[diagonal] += penalty
+    if not np.isfinite(work[diagonal]).all():
+        raise DomainError(f"penalty {name} = {penalty:.3g} overflows the Gram diagonal")
+    try:
+        factor = cho_factor(work, lower=False, overwrite_a=True, check_finite=False)
+    except LinAlgError as exc:
+        floor = float(np.max(np.diagonal(gram))) * np.finfo(float).eps
+        raise DomainError(
+            f"Cholesky factorization failed ({exc}): penalty {name} = "
+            f"{penalty:.3g} against the Gram's rounding floor max diagonal * eps "
+            f"= {floor:.3g}"
+        ) from exc
+    if dual:
+        beta_hat = X @ cho_solve(factor, y, check_finite=False)
+    else:
+        beta_hat = cho_solve(factor, X @ y / n, check_finite=False)
 
     residual = X.T @ beta_hat - y
     return RidgeFit(

@@ -279,6 +279,25 @@ class TestSelectRegularizer:
         assert r == r_of_k(regime, k)
         assert rho_n == r * 100.0**-alpha
 
+    def test_edge_values_are_not_evaluated_twice(self, monkeypatch):
+        # the bracket search hands its edge values to the root finder, so a
+        # solve evaluates E_train at each edge once; the result is pinned to
+        # the last bit
+        regime = AsymptoticRegime(alpha=1.75, gamma_star=0.5, sigma_sq=1.0)
+        regime.k_crit  # cached; its own solve is not counted
+        calls = []
+        hyp2f1 = eigenlearning.hyp2f1
+        monkeypatch.setattr(
+            eigenlearning, "hyp2f1", lambda args: calls.append(args) or hyp2f1(args)
+        )
+        k, r, rho_n = select_regularizer(regime, 0.3, 1000)
+        assert len(calls) <= 77
+        assert (k, r, rho_n) == (
+            5.8640740473355475,
+            2.7153929802269383,
+            1.526977686913388e-05,
+        )
+
     def test_limit_directions(self):
         # tau near sigma_sq pushes k (and rho_n) up; tau near 0 pulls k down
         # to k_crit and r down to 0

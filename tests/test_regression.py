@@ -1,8 +1,12 @@
 """Data generation and closed-form ridge fits against independent solves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from powerlaw_ridge.eigenlearning import AsymptoticRegime, select_regularizer
 from powerlaw_ridge.errors import DomainError
 from powerlaw_ridge.regression import (
     DataModel,
@@ -54,6 +58,18 @@ class TestGenerate:
         row_vars = np.var(data.X, axis=1)
         assert row_vars == pytest.approx(data.eigenvalues, rel=0.15)
 
+    @pytest.mark.parametrize("n, p", [(50, 100), (256, 512), (1000, 2000), (300, 150)])
+    def test_equals_per_column_reference(self, n, p):
+        # the reference draws each column into a strided column of X
+        model = DataModel(n=n, p=p, alpha=1.75, sigma_sq=0.5, seed=23)
+        sqrt_lam = np.sqrt(np.arange(1, p + 1, dtype=float) ** -model.alpha)
+        reference = np.empty((p, n))
+        for j, child in enumerate(np.random.SeedSequence([model.seed, 3]).spawn(n)):
+            reference[:, j] = sqrt_lam * np.random.default_rng(child).standard_normal(p)
+        X = generate(model).X
+        assert np.array_equal(X, reference)
+        assert X.flags.c_contiguous
+
     def test_validation(self):
         with pytest.raises(DomainError):
             DataModel(n=0, p=3, alpha=2.0, sigma_sq=1.0)
@@ -103,6 +119,82 @@ class TestFitRidge:
             assert fit.sq_norm == first.sq_norm
         assert data.gram.shape == (min(n, p), min(n, p))
         assert not data.gram.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(40, 90), (90, 40)], ids=["dual", "primal"])
+    def test_equals_reference_factorization(self, shape):
+        # the reference factors a Fortran-ordered copy of the Gram with
+        # scipy's default finiteness checks
+        n, p = shape
+        data = generate(DataModel(n=n, p=p, alpha=1.5, sigma_sq=0.4, seed=29))
+        for rho in (1e-5, 0.02, 3.0):
+            work = np.array(data.gram, order="F")
+            work[np.diag_indices_from(work)] += n * rho if p > n else rho
+            factor = cho_factor(work, lower=False, overwrite_a=True)
+            if p > n:
+                beta_hat = data.X @ cho_solve(factor, data.y)
+            else:
+                beta_hat = cho_solve(factor, data.X @ data.y / n)
+            fit = fit_ridge(data, rho)
+            assert np.array_equal(fit.beta_hat, beta_hat)
+            residual = data.X.T @ beta_hat - data.y
+            assert fit.train_mse == float(np.mean(residual**2))
+            assert fit.sq_norm == float(beta_hat @ beta_hat)
+
+    @pytest.mark.parametrize(
+        "shape, cut",
+        [
+            ((30, 70), np.s_[:, :]),
+            ((70, 30), np.s_[:, :]),
+            ((300, 900), np.s_[::2, ::3]),  # (p, n) = (450, 100)
+            ((300, 900), np.s_[:100, ::2]),  # (p, n) = (100, 150)
+        ],
+        ids=["dual", "primal", "strided-dual", "strided-primal"],
+    )
+    def test_gram_is_exactly_symmetric(self, shape, cut):
+        n, p = shape
+        data = generate(DataModel(n=n, p=p, alpha=1.75, sigma_sq=1.0, seed=31))
+        X = data.X[cut]
+        data = replace(
+            data,
+            X=X,
+            y=X.T @ data.beta_star[cut[0]],
+            beta_star=data.beta_star[cut[0]],
+            eigenvalues=data.eigenvalues[cut[0]],
+        )
+        assert np.array_equal(data.gram, data.gram.T)
+        assert data.gram.shape == (min(X.shape),) * 2
+
+    def test_rejects_non_finite_penalty(self):
+        data = small_instance(n=5, p=8)
+        with pytest.raises(DomainError, match="overflows the Gram diagonal"):
+            fit_ridge(data, np.inf)
+        with pytest.raises(DomainError, match="overflows the Gram diagonal"):
+            fit_ridge(data, 1e308)  # n * rho overflows on the dual branch
+
+    def test_rejects_non_finite_data(self):
+        data = small_instance(n=5, p=8)
+        X_nan = data.X.copy()
+        X_nan[2, 3] = np.nan
+        y_nan = data.y.copy()
+        y_nan[1] = np.nan
+        for bad in (replace(data, X=X_nan), replace(data, y=y_nan)):
+            with pytest.raises(DomainError, match="non-finite entries"):
+                fit_ridge(bad, 0.1)
+
+    def test_rejects_an_overflowing_gram(self):
+        data = small_instance(n=5, p=8)
+        big = replace(data, X=data.X * 1e160, y=data.y * 1e160)
+        with pytest.raises(DomainError, match="Gram matrix of the design overflows"):
+            fit_ridge(big, 0.1)
+
+    def test_failed_factorization_is_a_domain_error(self):
+        # at alpha = 6 the selected n*rho_n sits near the Gram's rounding
+        # floor and the Cholesky factorization breaks down
+        regime = AsymptoticRegime(alpha=6.0, gamma_star=0.5, sigma_sq=1.0)
+        _, _, rho_n = select_regularizer(regime, 0.2, 800)
+        data = generate(DataModel(n=800, p=1600, alpha=6.0, sigma_sq=1.0, seed=0))
+        with pytest.raises(DomainError, match=r"n\*rho = 8.41e-15 .* eps = 2.21e-15"):
+            fit_ridge(data, rho_n)
 
     def test_dominant_ridge_shrinks_to_zero(self):
         data = small_instance()
