@@ -100,13 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trade.add_argument("--tau-grid", dest="tau_grid", help="lo:hi:count (linear)")
     p_trade.add_argument("--out", type=str, help="output file path")
     p_trade.add_argument("--format", choices=("csv", "json"), help="export format")
-    p_trade.add_argument(
-        "--empirical-test-n",
-        dest="empirical_test_n",
-        type=int,
-        help="evaluate test MSE on this many held-out samples instead of "
-        "the analytic formula",
-    )
 
     p_norm = sub.add_parser("normgrowth", help="norm-growth sweep over n")
     _add_common(p_norm)
@@ -213,7 +206,6 @@ def _cmd_tradeoff(options: dict) -> int:
         trials_per_point=int(options["trials"]),
         base_seed=int(options["seed"]),
         n_fixed=int(options["n"]),
-        n_test=options.get("empirical_test_n"),
     )
     result = run_tradeoff_sweep(config)
     _export(result, options)

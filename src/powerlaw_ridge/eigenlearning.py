@@ -44,6 +44,9 @@ from .specfun import HypergeometricArgs, hyp2f1
 
 _RESIDUAL_TOL = 1e-13
 _MAX_BISECTIONS = 200
+# check_train_error_monotone's grid: this many k over (k_crit, k_crit + span)
+_MONOTONE_NUM = 64
+_MONOTONE_SPAN = 1e6
 
 
 @dataclass(frozen=True)
@@ -222,7 +225,8 @@ def select_regularizer(
     """Pick the ridge penalty hitting asymptotic train error tau.
 
     Solves E_train(k) = tau on (k_crit, inf), sets r = R(k) and
-    rho_n = r * n^(-alpha).  Returns (k, r, rho_n).
+    rho_n = r * n^(-alpha).  Returns (k, r, rho_n).  A tau within 1e-11 *
+    sigma_sq of E_train at the lower edge, the reachable floor, returns that edge.
     """
     sig = regime.sigma_sq
     if not 0.0 < tau < sig:
@@ -238,15 +242,17 @@ def select_regularizer(
 
     hi, f_hi = _grow_bracket(f, max(2.0 * lo, 1.0), f"E_train(k) = {tau}")
     e_lo = train_error_of_k(regime, lo)
-    if e_lo > tau:
+    f_tol = 1e-11 * sig
+    if e_lo - tau > f_tol:
         raise DomainError(
             f"tau = {tau} is below the smallest train error reachable in this "
             f"regime (E_train({lo:.3g}) = {e_lo:.6g})"
         )
-    # E_train has no derivative at hand here, so the solver bisects
-    k = _bisect_newton(
-        f, None, lo, hi, f_tol=1e-11 * sig, f_lo=tau - e_lo, f_hi=f_hi
-    )
+    if abs(e_lo - tau) <= f_tol:
+        k = lo
+    else:
+        # E_train has no derivative at hand here, so the solver bisects
+        k = _bisect_newton(f, None, lo, hi, f_tol=f_tol, f_lo=tau - e_lo, f_hi=f_hi)
     point = asymptotic_errors(regime, k)
     residual = point.e_train - tau
     if abs(residual) > 1e-10 * sig:
@@ -256,16 +262,15 @@ def select_regularizer(
     return k, point.r, point.r * float(n) ** -regime.alpha
 
 
-def check_train_error_monotone(
-    regime: AsymptoticRegime, num: int = 64, k_span: float = 1e6
-) -> None:
+def check_train_error_monotone(regime: AsymptoticRegime) -> None:
     """Grid sign-check that E_train is increasing in k on (k_crit, k_crit + span).
 
     The regularizer-selection bisection assumes this; a violation aborts the
     sweep with a diagnostic rather than silently returning a wrong root.
     """
     kc = regime.k_crit
-    ks = np.geomspace(max(kc, 1e-9) * (1.0 + 1e-6) + 1e-9, kc + k_span, num)
+    lo = max(kc, 1e-9) * (1.0 + 1e-6) + 1e-9
+    ks = np.geomspace(lo, kc + _MONOTONE_SPAN, _MONOTONE_NUM)
     values = [train_error_of_k(regime, float(k)) for k in ks]
     diffs = np.diff(values)
     if np.any(diffs < -1e-12 * regime.sigma_sq):
@@ -286,10 +291,12 @@ def finite_n_prediction(
 ) -> FiniteNPrediction:
     """Finite-n effective-regularizer prediction for a fixed spectrum.
 
-    Solves n = delta/kappa + sum_i lambda_i/(lambda_i + kappa) with
+    beta_star takes eigenfunction coordinates v_i = sqrt(lambda_i) * beta_i,
+    not the coefficients of y = x^T beta + eps.  Solves
+    n = delta/kappa + sum_i L_i with L_i = lambda_i/(lambda_i + kappa) and
     delta = n*rho, then
         e_coef  = n * dkappa/ddelta  (implicit differentiation),
-        C       = sum_i (1 - lambda_i/(lambda_i + kappa)) * beta_i^2,
+        C       = sum_i (1 - L_i)^2 * v_i^2,
         E_test  = e_coef * (sigma_sq + C),
         E_train = (delta^2 / (n^2 kappa^2)) * E_test.
     """
@@ -316,7 +323,7 @@ def finite_n_prediction(
     e_coef = n * dkappa_ddelta
 
     learnability = lam / (lam + kappa)
-    signal_term_c = float(np.sum((1.0 - learnability) * beta**2))
+    signal_term_c = float(np.sum((1.0 - learnability) ** 2 * beta**2))
     e_test_n = e_coef * (sigma_sq + signal_term_c)
     e_train_n = (delta**2 / (n**2 * kappa**2)) * e_test_n
     return FiniteNPrediction(

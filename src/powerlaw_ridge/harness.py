@@ -39,7 +39,7 @@ from .eigenlearning import (
     select_regularizer,
 )
 from .errors import ConfigError, SweepError
-from .regression import DataModel, empirical_test_mse, fit_ridge, generate, nested
+from .regression import DataModel, fit_ridge, generate, nested
 from .rmt import (
     LimitCdf,
     SpectralMeasure,
@@ -75,6 +75,11 @@ class AggregateRow(NamedTuple):
 CSV_HEADER = ",".join(TrialRow._fields)
 AGG_HEADER = ",".join(AggregateRow._fields)
 
+# regularizer factors r of the diagnostics' positivity check, and the number
+# of points at which their spectral CDF check compares the two CDFs
+_R_GRID = (0.1, 1.0, 10.0)
+_CDF_GRID_SIZE = 10_000
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -87,7 +92,6 @@ class SweepConfig:
     base_seed: int = 0
     n_fixed: int | None = None  # sample count for tau_grid sweeps
     tau_fixed: float | None = None  # target train error for n_grid sweeps
-    n_test: int | None = None  # held-out empirical test MSE instead of analytic
 
     def __post_init__(self) -> None:
         if self.sweep_kind not in ("tau_grid", "n_grid"):
@@ -100,8 +104,6 @@ class SweepConfig:
             raise ConfigError("trials_per_point must be >= 1")
         if not self.regime.gamma_star > 0.0:
             raise ConfigError("sweeps need gamma_star > 0 to size the feature space")
-        if self.n_test is not None and self.n_test < 1:
-            raise ConfigError("n_test must be >= 1")
         sig = self.regime.sigma_sq
         if self.sweep_kind == "tau_grid":
             if self.n_fixed is None or self.n_fixed < 1:
@@ -225,10 +227,6 @@ def _run_trial(
             point_model = model(point.n)
             data = full if point_model == full_model else nested(full, point_model)
             fit = fit_ridge(data, point.rho_n)
-            if config.n_test is None:
-                test_mse = fit.test_mse_analytic
-            else:
-                test_mse = empirical_test_mse(fit.beta_hat, data, config.n_test, seed)
             rows.append(
                 TrialRow(
                     sweep_value=point.sweep_value,
@@ -238,7 +236,7 @@ def _run_trial(
                     r=point.r,
                     rho_n=point.rho_n,
                     train_mse=fit.train_mse,
-                    test_mse=test_mse,
+                    test_mse=fit.test_mse_analytic,
                     sq_norm=fit.sq_norm,
                 )
             )
@@ -316,12 +314,7 @@ def run_norm_growth_sweep(config: SweepConfig) -> tuple[SweepResult, ExponentFit
 
 
 def run_diagnostics(
-    regime: AsymptoticRegime,
-    n: int,
-    seed: int,
-    r_grid: tuple[float, ...] = (0.1, 1.0, 10.0),
-    trials: int = 10,
-    cdf_grid_size: int = 10_000,
+    regime: AsymptoticRegime, n: int, seed: int, trials: int = 10
 ) -> DiagnosticsReport:
     """Three numeric checks of the random-matrix assumptions at finite n."""
     if n < 32:
@@ -331,7 +324,7 @@ def run_diagnostics(
         raise ConfigError("diagnostics need gamma_star > 0")
     p = feature_count(regime, n)
 
-    positivity = positivity_check(alpha, gamma, n, list(r_grid), trials, seed)
+    positivity = positivity_check(alpha, gamma, n, list(_R_GRID), trials, seed)
     positivity_pass = all(mean > 0.0 for _, mean in positivity)
 
     # staircase vs. limit CDF of the n^alpha-scaled covariance spectrum; the
@@ -340,7 +333,7 @@ def run_diagnostics(
     atoms = (n / np.arange(1, p + 1, dtype=float)) ** alpha
     measure = SpectralMeasure(np.sort(atoms))
     limit = LimitCdf(alpha, gamma)
-    t_grid = np.geomspace(gamma**alpha + 1.0 / n, float(n) ** alpha, cdf_grid_size)
+    t_grid = np.geomspace(gamma**alpha + 1.0 / n, float(n) ** alpha, _CDF_GRID_SIZE)
     deviation = max(
         abs(esd_cdf(measure, float(t)) - limit_cdf(limit, float(t))) for t in t_grid
     )

@@ -179,28 +179,6 @@ def analytic_test_mse(beta_hat: np.ndarray, data: Dataset, sigma_sq: float) -> f
     return float(sigma_sq + np.sum(data.eigenvalues * diff**2))
 
 
-def empirical_test_mse(
-    beta_hat: np.ndarray, data: Dataset, n_test: int, seed: int
-) -> float:
-    """Held-out test MSE on n_test fresh samples from the same population.
-
-    Stream tags 4 and 5 keep the held-out draw disjoint from the training
-    streams used by :func:`generate`.
-    """
-    if n_test < 1:
-        raise DomainError(f"n_test must be >= 1, got {n_test}")
-    p = data.beta_star.size
-    sqrt_lam = np.sqrt(data.eigenvalues)
-    x_rng = np.random.default_rng([seed, 4])
-    noise_rng = np.random.default_rng([seed, 5])
-    X_test = sqrt_lam[:, None] * x_rng.standard_normal((p, n_test))
-    y_test = X_test.T @ data.beta_star + noise_rng.standard_normal(n_test) * np.sqrt(
-        data.sigma_sq
-    )
-    residual = X_test.T @ np.asarray(beta_hat, dtype=float) - y_test
-    return float(np.mean(residual**2))
-
-
 def fit_ridge(data: Dataset, rho: float) -> RidgeFit:
     """Closed-form ridge fit; dual (Woodbury) form when p > n, primal else.
 

@@ -1,12 +1,11 @@
-"""Spectral measures, Stieltjes transforms, and random-matrix diagnostics.
+"""Spectral measures and random-matrix diagnostics.
 
 A :class:`SpectralMeasure` is the uniform atomic measure on a matrix's
-eigenvalues.  The module provides its CDF and Stieltjes transform, the
-derivative d/dr [r S(-r)] that controls coefficient-norm growth, the
+eigenvalues.  The module provides its CDF, the derivative d/dr [r S(-r)]
+of its Stieltjes transform S, which controls coefficient-norm growth, the
 scaled limiting CDF 1 - g t^(-1/alpha) of n^alpha-scaled power-law
 covariances, the finite-n defect of the self-consistent equation linking
-the regularizer factor r to the effective factor k, and two numerical
-checks: the Gram-to-covariance Stieltjes identity and the positivity of
+the regularizer factor r to the effective factor k, and the positivity of
 the averaged derivative over random-design draws.
 """
 
@@ -82,16 +81,6 @@ def limit_cdf(limit: LimitCdf, t: float) -> float:
     return 1.0 - g * t ** (-1.0 / limit.alpha)
 
 
-def stieltjes(measure: SpectralMeasure, z: float) -> float:
-    """S(z) = mean of 1/(atom - z), for z strictly below the support."""
-    atoms = measure.atoms
-    if z >= atoms[0]:
-        raise DomainError(
-            f"z = {z} is not strictly below the support (min atom {atoms[0]})"
-        )
-    return float(np.mean(1.0 / (atoms - z)))
-
-
 def d_rS_dr(measure: SpectralMeasure, r: float) -> float:
     """d/dr [r S(-r)] evaluated exactly as mean of atom/(atom + r)^2."""
     if not r > 0.0:
@@ -117,30 +106,6 @@ def self_consistent_residual(
     positive = lam > 0.0
     total = float(np.sum(lam[positive] / (lam[positive] + kappa)))
     return abs(1.0 - r / k - total / n)
-
-
-def gram_to_covariance_check(X: np.ndarray, c: float, z: float) -> float:
-    """Defect of S_esd(c*Cov)(z) = g S_esd(c*Gram)(z) - (1-g)/z for p > n.
-
-    Cov = X X^T / n (p x p) and Gram = X^T X / n (n x n) share their nonzero
-    spectrum; the p - n trailing zeros account for the -(1-g)/z term.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DomainError(f"X must be a p x n matrix, got shape {X.shape}")
-    p, n = X.shape
-    if p <= n:
-        raise DomainError(f"the identity requires p > n, got p={p}, n={n}")
-    if not z < 0.0:
-        raise DomainError(f"z must be negative, got {z}")
-    if not np.all(np.isfinite(X)):
-        raise DomainError("X contains non-finite entries")
-    gamma = n / p
-    cov = SpectralMeasure.from_eigenvalues(c * np.linalg.eigvalsh(X @ X.T / n))
-    gram = SpectralMeasure.from_eigenvalues(c * np.linalg.eigvalsh(X.T @ X / n))
-    lhs = stieltjes(cov, z)
-    rhs = gamma * stieltjes(gram, z) - (1.0 - gamma) / z
-    return abs(lhs - rhs)
 
 
 def scaled_gram_eigenvalues(

@@ -14,22 +14,12 @@ all argument magnitudes:
 Because c = b + 1, the gamma prefactor of the integral representation
 collapses to b, and the large-argument connection constants reduce to
 pi/sin(pi*b) factors; no general gamma function is required.
-
-An adaptive Gauss-Legendre quadrature of the Euler integral serves as the
-independent oracle for the closed-form path.  The endpoint singularity
-t^(b-1) is removed by the substitution t = u^(1/b), after which the
-integrand is smooth:
-
-    F(a, b; b+1; z) = integral_0^1 (1 - z*u^(1/b))^(-a) du.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -38,8 +28,6 @@ _MAX_TERMS = 10_000
 # branch boundaries in z; both neighbours converge geometrically at the cut
 _SERIES_CUT = -0.5
 _PFAFF_CUT = -2.0
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 @dataclass(frozen=True)
@@ -64,23 +52,13 @@ class HypergeometricArgs:
             raise DomainError("argument must be finite")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and subdivision budget for the adaptive quadrature oracle."""
-
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-13
-    max_subdivisions: int = 4000
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
 def hyp2f1(args: HypergeometricArgs) -> float:
-    """Evaluate F(a, b; b+1; z) for z <= 0 to near machine precision."""
+    """Evaluate F(a, b; b+1; z) for z <= 0.
+
+    Worst relative error against mpmath over a in {1, 2}, z in [-1e12, 0]:
+    4e-9 at alpha = 1/b = 1.0001, 7e-13 at 1.01, 2e-14 from 1.1 and 1e-15
+    from 1.5; the loss near alpha = 1 is in _large_argument.
+    """
     if args.z == 0.0:
         return 1.0
     if args.z > _SERIES_CUT:
@@ -91,22 +69,6 @@ def hyp2f1(args: HypergeometricArgs) -> float:
             args.a, 1.0, args.b + 1.0, w
         )
     return _large_argument(args.a, args.b, -args.z)
-
-
-def hyp2f1_oracle(args: HypergeometricArgs, quad: QuadratureSpec | None = None) -> float:
-    """Quadrature of the Euler integral; the independent check on hyp2f1."""
-    if quad is None:
-        quad = QuadratureSpec()
-    if args.z == 0.0:
-        return 1.0
-    inv_b = 1.0 / args.b
-    neg_z = -args.z
-    a = args.a
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return (1.0 + neg_z * u**inv_b) ** (-a)
-
-    return adaptive_gauss_legendre(integrand, 0.0, 1.0, quad)
 
 
 def _gauss_series(a: float, b: float, c: float, z: float) -> float:
@@ -126,7 +88,10 @@ def _gauss_series(a: float, b: float, c: float, z: float) -> float:
 def _large_argument(a: float, b: float, big_z: float) -> float:
     # F(a, b; b+1; -Z) = b * (C_a * Z^(-b) - tail(Z)), Z = |z| > 1, where the
     # head comes from extending the Euler integral to [0, inf) and the tail
-    # re-expands the remainder over [1, inf) in powers of 1/Z.
+    # re-expands the remainder over [1, inf) in powers of 1/Z.  For a = 1 and
+    # b -> 1 the head pi/sin(pi*b) * Z^(-b) and the first tail term
+    # Z^(-1)/(1-b) both grow like 1/(1-b) and cancel, which costs digits for
+    # alpha near 1.
     head_const = math.pi / math.sin(math.pi * b)
     if a == 2.0:
         head_const *= 1.0 - b
@@ -147,69 +112,4 @@ def _large_argument(a: float, b: float, big_z: float) -> float:
         power /= big_z
     raise ConvergenceError(
         f"large-argument expansion did not converge (a={a}, b={b}, z={-big_z})"
-    )
-
-
-def _gl_panel(f, lo: float, hi: float) -> float:
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
-
-
-def adaptive_gauss_legendre(f, lo: float, hi: float, quad: QuadratureSpec) -> float:
-    """Globally adaptive 15-point Gauss-Legendre quadrature of f over [lo, hi].
-
-    f must accept and return numpy arrays.  Panels are bisected worst-error
-    first; the error estimate of a panel is the defect between its one-panel
-    value and the sum over its two halves.
-    """
-    if not hi > lo:
-        raise DomainError(f"empty integration interval [{lo}, {hi}]")
-
-    coarse = _gl_panel(f, lo, hi)
-    mid = 0.5 * (lo + hi)
-    left = _gl_panel(f, lo, mid)
-    right = _gl_panel(f, mid, hi)
-    total = left + right
-    err = abs(total - coarse)
-    # heap of (-panel_error, lo, hi, panel_value); floor collects the error of
-    # panels whose midpoint degenerates to an endpoint (machine resolution)
-    heap = [(-err, lo, hi, total)]
-    err_floor = 0.0
-    n_subdivisions = 1
-
-    while heap:
-        if err + err_floor <= max(quad.abs_tol, quad.rel_tol * abs(total)):
-            return total
-        if n_subdivisions >= quad.max_subdivisions:
-            raise ConvergenceError(
-                f"quadrature used {n_subdivisions} subdivisions without "
-                f"reaching tolerance (remaining error {err + err_floor:.3e})"
-            )
-        neg_e, a, b, value = heapq.heappop(heap)
-        err += neg_e
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            err_floor -= neg_e
-            continue
-        refined = 0.0
-        for sub_lo, sub_hi in ((a, m), (m, b)):
-            c = _gl_panel(f, sub_lo, sub_hi)
-            s = 0.5 * (sub_lo + sub_hi)
-            if s <= sub_lo or s >= sub_hi:
-                refined += c
-                continue
-            fine = _gl_panel(f, sub_lo, s) + _gl_panel(f, s, sub_hi)
-            e = abs(fine - c)
-            refined += fine
-            heapq.heappush(heap, (-e, sub_lo, sub_hi, fine))
-            err += e
-        total += refined - value
-        n_subdivisions += 2
-
-    if err_floor <= max(quad.abs_tol, quad.rel_tol * abs(total)):
-        return total
-    raise ConvergenceError(
-        f"quadrature hit machine panel resolution with error {err_floor:.3e} "
-        "above tolerance"
     )

@@ -14,6 +14,12 @@ import time
 import numpy as np
 import pytest
 
+from oracles import (
+    QuadratureSpec,
+    adaptive_gauss_legendre,
+    gram_to_covariance_check,
+    stieltjes,
+)
 from powerlaw_ridge.eigenlearning import (
     AsymptoticRegime,
     asymptotic_errors,
@@ -30,13 +36,10 @@ from powerlaw_ridge.rmt import (
     SpectralMeasure,
     d_rS_dr,
     esd_cdf,
-    gram_to_covariance_check,
     limit_cdf,
     positivity_check,
     self_consistent_residual,
-    stieltjes,
 )
-from powerlaw_ridge.specfun import QuadratureSpec, adaptive_gauss_legendre
 
 
 def verdict(number: int, name: str, passed: bool, detail: str) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import powerlaw_ridge.eigenlearning as eigenlearning
+from oracles import QuadratureSpec, adaptive_gauss_legendre
 from powerlaw_ridge.eigenlearning import (
     AsymptoticRegime,
     asymptotic_errors,
@@ -30,7 +31,7 @@ from powerlaw_ridge.eigenlearning import (
     train_error_of_k,
 )
 from powerlaw_ridge.errors import ConvergenceError, DomainError
-from powerlaw_ridge.specfun import QuadratureSpec, adaptive_gauss_legendre
+from powerlaw_ridge.regression import DataModel, fit_ridge, generate
 
 REGIME_SQUARE = AsymptoticRegime(alpha=2.0, gamma_star=1.0, sigma_sq=1.0)
 REGIME_HALF = AsymptoticRegime(alpha=2.0, gamma_star=0.5, sigma_sq=1.0)
@@ -266,15 +267,17 @@ class TestSelectRegularizer:
         with pytest.raises(ConvergenceError, match="could not bracket"):
             select_regularizer(REGIME_PAPER, 0.5, 100)
 
-    @pytest.mark.parametrize("alpha", [1.75, 4.0])
+    @pytest.mark.parametrize("alpha", [1.75, 4.0, 1.5, 2.0, 2.5, 3.0, 5.0, 6.0, 8.0])
     @pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
     def test_tau_on_reachable_floor(self, alpha, sigma_sq):
-        # gamma_star = 2 puts the floor at sigma_sq / 2, which these regimes
-        # hit exactly at the solver's lower edge k = 1e-12
+        # gamma_star = 2 puts the floor at sigma_sq / 2, which E_train at the
+        # solver's lower edge k = 1e-12 meets up to a few ulps either side;
+        # every such tau gets that edge as its root
         regime = AsymptoticRegime(alpha=alpha, gamma_star=2.0, sigma_sq=sigma_sq)
         tau = sigma_sq / 2.0
-        assert train_error_of_k(regime, 1e-12) == tau
+        assert abs(train_error_of_k(regime, 1e-12) - tau) <= 1e-11 * sigma_sq
         k, r, rho_n = select_regularizer(regime, tau, 100)
+        assert k == 1e-12
         assert abs(train_error_of_k(regime, k) - tau) <= 1e-11 * sigma_sq
         assert r == r_of_k(regime, k)
         assert rho_n == r * 100.0**-alpha
@@ -376,6 +379,23 @@ class TestFiniteN:
             pred = finite_n_prediction(lam, n**-regime.alpha, 1.0, beta, n)
             gaps[n] = abs(pred.e_test_n - point.e_test) / point.e_test
         assert gaps[2000] < gaps[500]
+
+    @pytest.mark.parametrize("rho", [1e-4, 1e-3, 1e-2])
+    def test_signal_dominated_matches_monte_carlo(self, rho):
+        # unit-variance coefficients against noise 0.1: the signal term
+        # sum (1 - L_i)^2 v_i^2 carries most of the test error, and the
+        # prediction takes the eigenfunction coordinates v = sqrt(lambda) beta
+        mc, predicted = [], []
+        for seed in range(10):
+            model = DataModel(
+                n=500, p=1000, alpha=1.75, sigma_sq=0.1, beta_star_scale=1.0, seed=seed
+            )
+            data = generate(model)
+            mc.append(fit_ridge(data, rho).test_mse_analytic)
+            v = np.sqrt(data.eigenvalues) * data.beta_star
+            pred = finite_n_prediction(data.eigenvalues, rho, 0.1, v, 500)
+            predicted.append(pred.e_test_n)
+        assert np.mean(predicted) == pytest.approx(np.mean(mc), rel=0.03)
 
     def test_validation(self):
         with pytest.raises(DomainError):

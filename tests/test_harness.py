@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import powerlaw_ridge
 import powerlaw_ridge.harness as harness
 from powerlaw_ridge.cli import main as cli_main
 from powerlaw_ridge.eigenlearning import AsymptoticRegime, asymptotic_errors
@@ -149,13 +150,6 @@ class TestTradeoffSweep:
             if agg.metric == "test_mse":
                 # sanity of the aggregation itself at >= 10 trials
                 assert agg.q20 <= agg.mean <= agg.q80
-
-    def test_empirical_test_metric_flag(self):
-        analytic = run_tradeoff_sweep(tiny_tau_config())
-        empirical = run_tradeoff_sweep(tiny_tau_config(n_test=500))
-        for a, b in zip(analytic.rows, empirical.rows):
-            assert a.train_mse == b.train_mse
-            assert a.test_mse != b.test_mse
 
     def test_failed_trial_aborts_with_context(self, monkeypatch):
         def boom(model):
@@ -378,8 +372,15 @@ class TestCli:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"alhpa": 2.0}))
-        assert cli_main(["solve", "--config", str(config), "--tau", "0.2", "--n", "9"]) == 1
+        small_sweep = {"n": 48, "trials": 1, "tau_grid": "0.2:0.5:2"}
+        for argv, values in (
+            (["solve", "--tau", "0.2", "--n", "9"], {"alhpa": 2.0}),
+            # the held-out test-MSE option is gone
+            (["tradeoff"], {"empirical_test_n": 50, **small_sweep}),
+        ):
+            config.write_text(json.dumps(values))
+            assert cli_main([*argv, "--config", str(config)]) == 1
+            assert "config keys not understood" in capsys.readouterr().err
 
     def test_missing_output_dir_is_io_error(self, tmp_path):
         code = cli_main(
@@ -401,7 +402,13 @@ class TestCli:
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv", [["solve", "--bogus", "1"], [], ["solve", "--n", "abc"]]
+        "argv",
+        [
+            ["solve", "--bogus", "1"],
+            [],
+            ["solve", "--n", "abc"],
+            ["tradeoff", "--empirical-test-n", "50"],
+        ],
     )
     def test_usage_errors_are_config_errors(self, argv, capsys):
         # exit 2 is reserved for numerical failures
@@ -416,3 +423,28 @@ class TestCli:
 
     def test_bad_grid_is_config_error(self, capsys):
         assert cli_main(["tradeoff", "--tau-grid", "nope"]) == 1
+
+
+def test_public_names_are_pinned():
+    # perfbench/ reaches the package through these names; the quadrature and
+    # Stieltjes oracles live in tests/oracles.py, and the held-out test-MSE
+    # estimator is gone
+    assert set(powerlaw_ridge.__all__) == {
+        "AsymptoticRegime", "ConfigError", "ConvergenceError", "DataModel",
+        "Dataset", "DiagnosticsReport", "DomainError", "EigenlearningPoint",
+        "ExponentFit", "FiniteNPrediction", "HypergeometricArgs", "LimitCdf",
+        "PowerlawRidgeError", "RidgeFit", "SpectralMeasure", "SweepConfig",
+        "SweepError", "SweepResult", "analytic_test_mse", "asymptotic_errors",
+        "d_rS_dr", "esd_cdf", "export", "finite_n_prediction", "fit_log_log",
+        "fit_ridge", "generate", "hyp2f1", "integral_i", "integral_j",
+        "k_crit", "k_of_r", "limit_cdf", "nested", "positivity_check",
+        "r_of_k", "run_diagnostics", "run_norm_growth_sweep",
+        "run_tradeoff_sweep", "select_regularizer", "self_consistent_residual",
+    }
+    for name in powerlaw_ridge.__all__:
+        assert hasattr(powerlaw_ridge, name)
+    for gone in (
+        "QuadratureSpec", "hyp2f1_oracle", "adaptive_gauss_legendre",
+        "stieltjes", "gram_to_covariance_check", "empirical_test_mse",
+    ):
+        assert not hasattr(powerlaw_ridge, gone)

@@ -11,7 +11,6 @@ from powerlaw_ridge.errors import DomainError
 from powerlaw_ridge.regression import (
     DataModel,
     analytic_test_mse,
-    empirical_test_mse,
     fit_ridge,
     generate,
     nested,
@@ -294,21 +293,6 @@ class TestAnalyticTestMse:
         data = small_instance()
         with pytest.raises(DomainError):
             analytic_test_mse(np.zeros(3), data, 1.0)
-
-
-class TestEmpiricalTestMse:
-    def test_tracks_analytic_value(self):
-        data = small_instance(n=40, p=80, sigma_sq=1.0, seed=2)
-        fit = fit_ridge(data, 0.05)
-        emp = empirical_test_mse(fit.beta_hat, data, n_test=50_000, seed=7)
-        assert emp == pytest.approx(fit.test_mse_analytic, rel=0.05)
-
-    def test_deterministic_in_seed(self):
-        data = small_instance()
-        fit = fit_ridge(data, 0.1)
-        assert empirical_test_mse(fit.beta_hat, data, 100, seed=5) == empirical_test_mse(
-            fit.beta_hat, data, 100, seed=5
-        )
 
 
 class TestSweepRho:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import gram_to_covariance_check, stieltjes
 from powerlaw_ridge.eigenlearning import AsymptoticRegime, k_of_r
 from powerlaw_ridge.errors import DomainError
 from powerlaw_ridge.rmt import (
@@ -11,12 +12,10 @@ from powerlaw_ridge.rmt import (
     SpectralMeasure,
     d_rS_dr,
     esd_cdf,
-    gram_to_covariance_check,
     limit_cdf,
     positivity_check,
     scaled_gram_eigenvalues,
     self_consistent_residual,
-    stieltjes,
 )
 
 atom_lists = st.lists(

@@ -1,20 +1,17 @@
-"""Hypergeometric evaluation against closed antiderivatives and quadrature."""
+"""Hypergeometric evaluation against closed antiderivatives, quadrature and
+mpmath."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import QuadratureSpec, adaptive_gauss_legendre, hyp2f1_oracle
 from powerlaw_ridge.errors import ConvergenceError, DomainError
-from powerlaw_ridge.specfun import (
-    HypergeometricArgs,
-    QuadratureSpec,
-    adaptive_gauss_legendre,
-    hyp2f1,
-    hyp2f1_oracle,
-)
+from powerlaw_ridge.specfun import HypergeometricArgs, hyp2f1
 
 
 def args_for(a, alpha, z):
@@ -62,6 +59,20 @@ class TestHyp2f1:
         assert hyp2f1(args) == pytest.approx(
             scipy.special.hyp2f1(args.a, args.b, args.c, args.z), rel=1e-12
         )
+
+    @settings(deadline=None)
+    @given(
+        a=st.sampled_from([1.0, 2.0]),
+        alpha=st.floats(min_value=1.1, max_value=100.0),
+        z=st.floats(min_value=-1e12, max_value=0.0),
+    )
+    def test_agrees_with_mpmath(self, a, alpha, z):
+        # the documented accuracy from alpha = 1.1 on, against 40 digits
+        args = args_for(a, alpha, z)
+        with mpmath.workdps(40):
+            b = mpmath.mpf(args.b)
+            expected = mpmath.hyp2f1(a, b, 1 + b, z)
+        assert abs(hyp2f1(args) - expected) <= 1e-13 * abs(expected)
 
     def test_strictly_decreasing_in_magnitude(self):
         for a in (1.0, 2.0):
