@@ -6,8 +6,12 @@ Subcommands:
   diagnose    run the random-matrix diagnostics at one regime
   solve       one-shot query: target train error -> (k, r, rho_n)
 
-All options can also be supplied through a JSON file (--config) whose keys
-mirror the long flag names with underscores; explicit flags win.
+Every option is declared once: its type, choices and help in _OPTIONS, its
+default per subcommand in _COMMANDS, and the parser is built from the two.
+A JSON file (--config) may supply any option of its subcommand under the
+long flag name with underscores.  Its values are read as flags placed
+before the explicit ones, so they pass the same type, choice and required
+checks, and explicit flags win; a JSON null leaves the option unset.
 
 Exit codes: 0 success, 1 configuration error (usage errors included),
 2 numerical failure, 3 I/O.
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,42 +38,6 @@ from .harness import (
     run_tradeoff_sweep,
 )
 
-_COMMAND_DEFAULTS = {
-    "tradeoff": {
-        "alpha": 1.75,
-        "gamma": 0.5,
-        "sigma_sq": 1.0,
-        "n": 2000,
-        "trials": 10,
-        "seed": 0,
-        "format": "csv",
-        "tau_grid": "0.05:0.8:16",
-    },
-    "normgrowth": {
-        "alpha": 1.25,
-        "gamma": 2.0 / 3.0,
-        "sigma_sq": 1.0,
-        "trials": 10,
-        "seed": 0,
-        "format": "csv",
-        "tau": 0.2,
-        "n_grid": "200:3000:10:log",
-    },
-    "diagnose": {
-        "alpha": 1.75,
-        "gamma": 0.5,
-        "sigma_sq": 1.0,
-        "n": 500,
-        "seed": 0,
-        "trials": 10,
-    },
-    "solve": {
-        "alpha": 1.75,
-        "gamma": 0.5,
-        "sigma_sq": 1.0,
-    },
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ConfigError instead of exiting with status 2,
@@ -78,137 +47,61 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, help="power-law spectral exponent")
-    parser.add_argument("--gamma", type=float, help="asymptotic ratio n/p")
-    parser.add_argument("--sigma-sq", type=float, dest="sigma_sq", help="noise variance")
-    parser.add_argument("--config", type=str, help="JSON file mirroring the flags")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="powerlaw-ridge",
-        description="trade-off curves and Monte-Carlo validation for "
-        "near-interpolating ridge regression under power-law spectra",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_trade = sub.add_parser("tradeoff", help="train-error sweep at fixed n")
-    _add_common(p_trade)
-    p_trade.add_argument("--n", type=int, help="training sample count")
-    p_trade.add_argument("--trials", type=int, help="Monte-Carlo trials per point")
-    p_trade.add_argument("--tau-grid", dest="tau_grid", help="lo:hi:count (linear)")
-    p_trade.add_argument("--out", type=str, help="output file path")
-    p_trade.add_argument("--format", choices=("csv", "json"), help="export format")
-
-    p_norm = sub.add_parser("normgrowth", help="norm-growth sweep over n")
-    _add_common(p_norm)
-    p_norm.add_argument("--tau", type=float, help="target train error")
-    p_norm.add_argument("--trials", type=int, help="Monte-Carlo trials per point")
-    p_norm.add_argument("--n-grid", dest="n_grid", help="lo:hi:count:log|lin")
-    p_norm.add_argument("--out", type=str, help="output file path")
-    p_norm.add_argument("--format", choices=("csv", "json"), help="export format")
-
-    p_diag = sub.add_parser("diagnose", help="random-matrix diagnostics")
-    _add_common(p_diag)
-    p_diag.add_argument("--n", type=int, help="sample count for the checks")
-    p_diag.add_argument("--trials", type=int, help="random-design draws")
-
-    p_solve = sub.add_parser("solve", help="tau -> (k, r, rho_n) query")
-    _add_common(p_solve)
-    p_solve.add_argument("--tau", type=float, help="target train error")
-    p_solve.add_argument("--n", type=int, help="sample count fixing rho_n")
-
-    for seeded in (p_trade, p_norm, p_diag):
-        seeded.add_argument("--seed", type=int, help="base RNG seed")
-    return parser
-
-
-def _merge_options(args: argparse.Namespace) -> dict:
-    merged = dict(_COMMAND_DEFAULTS[args.command])
-    if getattr(args, "config", None):
-        config_path = Path(args.config)
-        try:
-            file_values = json.loads(config_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise type(exc)(f"cannot read config {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ConfigError(f"config {config_path} must hold a JSON object")
-        allowed = (set(vars(args)) | set(merged)) - {"command", "config"}
-        unknown = set(file_values) - allowed
-        if unknown:
-            raise ConfigError(f"config keys not understood: {sorted(unknown)}")
-        merged.update(file_values)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        merged[key] = value
-    return merged
-
-
 def _parse_grid(text: str, kind: str) -> tuple[float, ...]:
-    parts = str(text).split(":")
+    parts = text.split(":")
     try:
-        if kind == "tau":
-            if len(parts) != 3:
-                raise ValueError("expected lo:hi:count")
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError("count must be >= 1")
-            return tuple(float(v) for v in np.linspace(lo, hi, count))
-        if len(parts) not in (3, 4):
-            raise ValueError("expected lo:hi:count[:log|lin]")
+        if len(parts) != 3 and not (kind == "n" and len(parts) == 4):
+            raise ValueError("expected lo:hi:count, and :log or :lin for an n grid")
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        if kind == "tau":
+            return tuple(float(v) for v in np.linspace(lo, hi, count))
         scale = parts[3] if len(parts) == 4 else "log"
         if scale not in ("log", "lin"):
             raise ValueError(f"unknown spacing {scale!r}")
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        values = (
-            np.geomspace(lo, hi, count) if scale == "log" else np.linspace(lo, hi, count)
-        )
-        grid = tuple(sorted({int(round(v)) for v in values}))
+        spacing = np.geomspace if scale == "log" else np.linspace
+        grid = sorted({int(round(v)) for v in spacing(lo, hi, count)})
         return tuple(float(v) for v in grid)
-    except ValueError as exc:
-        raise ConfigError(f"bad {kind} grid {text!r}: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(f"bad {kind} grid {text!r}: {exc}") from exc
 
 
-def _require(options: dict, key: str, command: str):
-    if key not in options or options[key] is None:
-        raise ConfigError(f"{command} requires --{key.replace('_', '-')}")
-    return options[key]
+# type, choices and help of every option, by its name with underscores
+_OPTIONS = {
+    "alpha": dict(type=float, help="power-law spectral exponent"),
+    "gamma": dict(type=float, help="asymptotic ratio n/p"),
+    "sigma_sq": dict(type=float, help="noise variance"),
+    "n": dict(type=int, help="sample count"),
+    "tau": dict(type=float, help="target train error"),
+    "trials": dict(type=int, help="Monte-Carlo trials (per grid point in sweeps)"),
+    "seed": dict(type=int, help="base RNG seed"),
+    "tau_grid": dict(type=partial(_parse_grid, kind="tau"), help="lo:hi:count"),
+    "n_grid": dict(type=partial(_parse_grid, kind="n"), help="lo:hi:count[:log|lin]"),
+    "out": dict(help="output file path"),
+    "format": dict(choices=("csv", "json"), help="export format"),
+    "config": dict(help="JSON file of option values; explicit flags win"),
+}
 
 
-def _regime(options: dict) -> AsymptoticRegime:
+def _regime(args: argparse.Namespace) -> AsymptoticRegime:
     try:
-        return AsymptoticRegime(
-            alpha=float(options["alpha"]),
-            gamma_star=float(options["gamma"]),
-            sigma_sq=float(options["sigma_sq"]),
-        )
+        return AsymptoticRegime(args.alpha, args.gamma, args.sigma_sq)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _export(result, options: dict) -> None:
-    if options.get("out"):
-        export(result, options["format"], options["out"])
-        print(f"wrote {options['out']}")
+def _export(result, args: argparse.Namespace) -> None:
+    if args.out:
+        export(result, args.format, args.out)
+        print(f"wrote {args.out}")
 
 
-def _cmd_tradeoff(options: dict) -> int:
-    config = SweepConfig(
-        regime=_regime(options),
-        sweep_kind="tau_grid",
-        grid=_parse_grid(options["tau_grid"], "tau"),
-        trials_per_point=int(options["trials"]),
-        base_seed=int(options["seed"]),
-        n_fixed=int(options["n"]),
-    )
-    result = run_tradeoff_sweep(config)
-    _export(result, options)
+def _cmd_tradeoff(args: argparse.Namespace) -> int:
+    """train-error sweep at fixed n"""
+    config = SweepConfig(_regime(args), args.tau_grid, args.trials, args.seed)
+    result = run_tradeoff_sweep(config, args.n)
+    _export(result, args)
     for agg in result.aggregates:
         if agg.metric == "test_mse":
             print(
@@ -218,17 +111,11 @@ def _cmd_tradeoff(options: dict) -> int:
     return 0
 
 
-def _cmd_normgrowth(options: dict) -> int:
-    config = SweepConfig(
-        regime=_regime(options),
-        sweep_kind="n_grid",
-        grid=_parse_grid(options["n_grid"], "n"),
-        trials_per_point=int(options["trials"]),
-        base_seed=int(options["seed"]),
-        tau_fixed=float(options["tau"]),
-    )
-    result, fit = run_norm_growth_sweep(config)
-    _export(result, options)
+def _cmd_normgrowth(args: argparse.Namespace) -> int:
+    """norm-growth sweep over n"""
+    config = SweepConfig(_regime(args), args.n_grid, args.trials, args.seed)
+    result, fit = run_norm_growth_sweep(config, args.tau)
+    _export(result, args)
     print(
         f"norm-growth exponent: slope={fit.slope:.6g} "
         f"intercept={fit.intercept:.6g} r_squared={fit.r_squared:.6g}"
@@ -236,13 +123,9 @@ def _cmd_normgrowth(options: dict) -> int:
     return 0
 
 
-def _cmd_diagnose(options: dict) -> int:
-    report = run_diagnostics(
-        _regime(options),
-        n=int(options["n"]),
-        seed=int(options["seed"]),
-        trials=int(options["trials"]),
-    )
+def _cmd_diagnose(args: argparse.Namespace) -> int:
+    """random-matrix diagnostics"""
+    report = run_diagnostics(_regime(args), n=args.n, seed=args.seed, trials=args.trials)
     print(format_diagnostics(report))
     all_pass = report.positivity_pass and report.cdf_pass and report.residual_pass
     if not all_pass:
@@ -250,31 +133,97 @@ def _cmd_diagnose(options: dict) -> int:
     return 0
 
 
-def _cmd_solve(options: dict) -> int:
-    regime = _regime(options)
-    tau = float(_require(options, "tau", "solve"))
-    n = int(_require(options, "n", "solve"))
+def _cmd_solve(args: argparse.Namespace) -> int:
+    """tau -> (k, r, rho_n) query"""
+    regime = _regime(args)
     try:
-        k, r, rho_n = select_regularizer(regime, tau, n)
+        k, r, rho_n = select_regularizer(regime, args.tau, args.n)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     print(f"k={k:.12g} r={r:.12g} rho_n={rho_n:.12g}")
     return 0
 
 
+_REQUIRED = object()  # the default of an option that must be given
+_REGIME = {"alpha": 1.75, "gamma": 0.5, "sigma_sq": 1.0}
+_DRAWS = {"trials": 10, "seed": 0}
+_EXPORT = {"out": None, "format": "csv"}
+# per subcommand: its handler, whose docstring is its help, and the default
+# of every option it takes
 _COMMANDS = {
-    "tradeoff": _cmd_tradeoff,
-    "normgrowth": _cmd_normgrowth,
-    "diagnose": _cmd_diagnose,
-    "solve": _cmd_solve,
+    "tradeoff": (
+        _cmd_tradeoff,
+        {**_REGIME, "n": 2000, "tau_grid": "0.05:0.8:16", **_DRAWS, **_EXPORT},
+    ),
+    "normgrowth": (
+        _cmd_normgrowth,
+        {
+            **_REGIME,
+            "alpha": 1.25,
+            "gamma": 2.0 / 3.0,
+            "tau": 0.2,
+            "n_grid": "200:3000:10:log",
+            **_DRAWS,
+            **_EXPORT,
+        },
+    ),
+    "diagnose": (_cmd_diagnose, {**_REGIME, "n": 500, **_DRAWS}),
+    "solve": (_cmd_solve, {**_REGIME, "tau": _REQUIRED, "n": _REQUIRED}),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="powerlaw-ridge",
+        description="trade-off curves and Monte-Carlo validation for "
+        "near-interpolating ridge regression under power-law spectra",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, defaults) in _COMMANDS.items():
+        command = sub.add_parser(name, help=handler.__doc__)
+        for key, default in {**defaults, "config": None}.items():
+            given = {"required": True} if default is _REQUIRED else {"default": default}
+            command.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key], **given)
+    return parser
+
+
+def _config_flags(command: str, path: str) -> list[str]:
+    """The values of a config file, written as the flags they stand for."""
+    try:
+        values = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise type(exc)(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    unknown = set(values) - set(_COMMANDS[command][1])
+    if unknown:
+        raise ConfigError(f"config keys not understood: {sorted(unknown)}")
+    flags = []
+    for key, value in values.items():
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ConfigError(f"config value {key}={value!r} is not a number or a string")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        finder = _Parser(add_help=False)
+        finder.add_argument("--config")
+        path = finder.parse_known_args(argv[1:])[0].config
+        if path is not None:
+            argv = [argv[0], *_config_flags(argv[0], path), *argv[1:]]
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        options = _merge_options(args)
-        return _COMMANDS[args.command](options)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

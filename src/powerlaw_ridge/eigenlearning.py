@@ -101,31 +101,29 @@ def _limit_constant(alpha: float) -> float:
 
 def integral_i(regime: AsymptoticRegime, k: float) -> float:
     """I(k), the resolvent-trace integral of first order."""
-    if k < 0.0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    g = regime.gamma_star
-    if g == 0.0:
-        if k == 0.0:
-            return math.inf
-        return k ** (-1.0 / regime.alpha) * _limit_constant(regime.alpha)
-    b = 1.0 / regime.alpha
-    z = -k * g**-regime.alpha
-    return hyp2f1(HypergeometricArgs(1.0, b, 1.0 + b, z)) / g
+    return _resolvent_integral(regime, k, 1.0)
 
 
 def integral_j(regime: AsymptoticRegime, k: float) -> float:
     """J(k), the squared-resolvent integral."""
+    return _resolvent_integral(regime, k, 2.0)
+
+
+def _resolvent_integral(regime: AsymptoticRegime, k: float, a: float) -> float:
+    # integral_0^(1/g) dx / (1 + k x^alpha)^a for a in {1, 2}
     if k < 0.0:
         raise DomainError(f"k must be >= 0, got {k}")
     g = regime.gamma_star
+    alpha = regime.alpha
     if g == 0.0:
         if k == 0.0:
             return math.inf
-        alpha = regime.alpha
-        return (1.0 - 1.0 / alpha) * k ** (-1.0 / alpha) * _limit_constant(alpha)
-    b = 1.0 / regime.alpha
-    z = -k * g**-regime.alpha
-    return hyp2f1(HypergeometricArgs(2.0, b, 1.0 + b, z)) / g
+        # J = (1 - 1/alpha) I; 1.0 * x leaves I's rounding untouched
+        scale = 1.0 if a == 1.0 else 1.0 - 1.0 / alpha
+        return scale * k ** (-1.0 / alpha) * _limit_constant(alpha)
+    b = 1.0 / alpha
+    z = -k * g**-alpha
+    return hyp2f1(HypergeometricArgs(a, b, 1.0 + b, z)) / g
 
 
 def r_of_k(regime: AsymptoticRegime, k: float) -> float:
@@ -135,11 +133,6 @@ def r_of_k(regime: AsymptoticRegime, k: float) -> float:
     if k == 0.0:
         return 0.0
     return k * (1.0 - integral_i(regime, k))
-
-
-def _di_dk(regime: AsymptoticRegime, k: float) -> float:
-    # dI/dk = (J(k) - I(k)) / k, by differentiating under the integral
-    return (integral_j(regime, k) - integral_i(regime, k)) / k
 
 
 def k_crit(regime: AsymptoticRegime) -> float:
@@ -159,13 +152,15 @@ def _solve_k_crit(regime: AsymptoticRegime) -> float:
     def f(k: float) -> float:
         return integral_i(regime, k) - 1.0
 
+    def di_dk(k: float) -> float:
+        # dI/dk = (J(k) - I(k)) / k, by differentiating under the integral
+        return (integral_j(regime, k) - integral_i(regime, k)) / k
+
     hi, f_hi = _grow_bracket(f, 1.0, "I(k) = 1")
     # the lower edge is the last hi that failed: the iterates, and so the
     # last bits of k_crit, depend on it
     lo = 0.0 if hi == 1.0 else hi / 4.0
-    return _bisect_newton(
-        f, lambda k: _di_dk(regime, k), lo, hi, f_tol=1e-14, f_hi=f_hi
-    )
+    return _bisect_newton(f, di_dk, lo, hi, f_tol=1e-14, f_hi=f_hi)
 
 
 def k_of_r(regime: AsymptoticRegime, r: float) -> float:
@@ -235,7 +230,7 @@ def select_regularizer(
         raise DomainError(f"n must be >= 1, got {n}")
 
     kc = regime.k_crit
-    lo = kc + 1e-12 * max(kc, 1.0) if kc > 0.0 else 1e-12
+    lo = kc + 1e-12 * max(kc, 1.0)
 
     def f(k: float) -> float:
         return tau - train_error_of_k(regime, k)

@@ -1,12 +1,15 @@
 """Experiment orchestration: sweeps, diagnostics, aggregation, export.
 
-Two sweep kinds mirror the two synthetic experiments:
+Two sweeps mirror the two synthetic experiments.  Both take a
+:class:`SweepConfig`, whose grid the runner reads as its own sweep variable,
+and the value held fixed:
 
-* ``tau_grid`` sweeps the target train error at fixed n, validating the
-  asymptotic trade-off curve against Monte-Carlo ridge fits;
-* ``n_grid`` sweeps the sample count at fixed target train error,
-  exposing the power-law growth of the squared coefficient norm, whose
-  exponent is estimated by least squares in log-log space.
+* ``run_tradeoff_sweep(config, n)`` sweeps the target train error at
+  sample count n, validating the asymptotic trade-off curve against
+  Monte-Carlo ridge fits;
+* ``run_norm_growth_sweep(config, tau)`` sweeps the sample count at target
+  train error tau, exposing the power-law growth of the squared coefficient
+  norm, whose exponent is estimated by least squares in log-log space.
 
 Trial t is seeded as base_seed + t at every grid point, so the grid points
 are common random numbers: each trial draws one dataset at the largest
@@ -39,7 +42,14 @@ from .eigenlearning import (
     select_regularizer,
 )
 from .errors import ConfigError, SweepError
-from .regression import DataModel, fit_ridge, generate, nested
+from .regression import (
+    DataModel,
+    feature_count,
+    fit_ridge,
+    generate,
+    nested,
+    power_law_spectrum,
+)
 from .rmt import (
     LimitCdf,
     SpectralMeasure,
@@ -83,19 +93,16 @@ _CDF_GRID_SIZE = 10_000
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Declarative description of one sweep."""
+    """Declarative description of one sweep: the grid holds target train
+    errors for :func:`run_tradeoff_sweep` and sample counts for
+    :func:`run_norm_growth_sweep`, which each check it."""
 
     regime: AsymptoticRegime
-    sweep_kind: Literal["tau_grid", "n_grid"]
     grid: tuple[float, ...]
     trials_per_point: int = 10
     base_seed: int = 0
-    n_fixed: int | None = None  # sample count for tau_grid sweeps
-    tau_fixed: float | None = None  # target train error for n_grid sweeps
 
     def __post_init__(self) -> None:
-        if self.sweep_kind not in ("tau_grid", "n_grid"):
-            raise ConfigError(f"unknown sweep kind {self.sweep_kind!r}")
         if not self.grid:
             raise ConfigError("sweep grid must be non-empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -104,21 +111,6 @@ class SweepConfig:
             raise ConfigError("trials_per_point must be >= 1")
         if not self.regime.gamma_star > 0.0:
             raise ConfigError("sweeps need gamma_star > 0 to size the feature space")
-        sig = self.regime.sigma_sq
-        if self.sweep_kind == "tau_grid":
-            if self.n_fixed is None or self.n_fixed < 1:
-                raise ConfigError("tau_grid sweeps need n_fixed >= 1")
-            if any(not 0.0 < tau < sig for tau in self.grid):
-                raise ConfigError(
-                    f"tau grid values must lie in (0, sigma_sq) = (0, {sig})"
-                )
-        else:
-            if self.tau_fixed is None or not 0.0 < self.tau_fixed < sig:
-                raise ConfigError(
-                    f"n_grid sweeps need tau_fixed in (0, sigma_sq) = (0, {sig})"
-                )
-            if any(v < 1 or v != int(v) for v in self.grid):
-                raise ConfigError("n grid values must be positive integers")
 
 
 @dataclass(frozen=True)
@@ -148,11 +140,6 @@ class DiagnosticsReport:
     residual_fine_n: int
     residual_fine: float
     residual_pass: bool
-
-
-def feature_count(regime: AsymptoticRegime, n: int) -> int:
-    """Feature dimension p for a sample count n at the regime's aspect ratio."""
-    return int(round(n / regime.gamma_star))
 
 
 def fit_log_log(x: np.ndarray, y: np.ndarray) -> ExponentFit:
@@ -212,7 +199,7 @@ def _run_trial(
     def model(n: int) -> DataModel:
         return DataModel(
             n=n,
-            p=feature_count(regime, n),
+            p=feature_count(n, regime.gamma_star),
             alpha=regime.alpha,
             sigma_sq=regime.sigma_sq,
             seed=seed,
@@ -269,35 +256,43 @@ def _aggregate(point: _GridPoint, rows: tuple[TrialRow, ...]) -> list[AggregateR
     return aggregates
 
 
-def run_tradeoff_sweep(config: SweepConfig) -> SweepResult:
-    """Sweep target train errors, fitting ridge trials at each one."""
-    if config.sweep_kind != "tau_grid":
-        raise ConfigError("run_tradeoff_sweep needs a tau_grid config")
+def run_tradeoff_sweep(config: SweepConfig, n: int) -> SweepResult:
+    """Sweep the target train errors of the grid at sample count n, fitting
+    ridge trials at each one."""
     regime = config.regime
+    sig = regime.sigma_sq
+    if n < 1:
+        raise ConfigError(f"tradeoff sweeps need n >= 1, got {n}")
+    if any(not 0.0 < tau < sig for tau in config.grid):
+        raise ConfigError(f"tau grid values must lie in (0, sigma_sq) = (0, {sig})")
     check_train_error_monotone(regime)
 
     points = []
     for tau in config.grid:
-        k, r, rho_n = select_regularizer(regime, tau, config.n_fixed)
+        k, r, rho_n = select_regularizer(regime, tau, n)
         theory = asymptotic_errors(regime, k)
-        points.append(
-            _GridPoint(tau, config.n_fixed, k, r, rho_n, theory.e_train, theory.e_test)
-        )
+        points.append(_GridPoint(tau, n, k, r, rho_n, theory.e_train, theory.e_test))
     return _run_sweep(config, points)
 
 
-def run_norm_growth_sweep(config: SweepConfig) -> tuple[SweepResult, ExponentFit]:
-    """Sweep n at fixed target train error; fit the norm-growth exponent.
+def run_norm_growth_sweep(
+    config: SweepConfig, tau: float
+) -> tuple[SweepResult, ExponentFit]:
+    """Sweep the sample counts of the grid at target train error tau; fit
+    the norm-growth exponent.
 
     The regularizer factor r is n-free, so it is solved once and only
     rho_n = r * n^(-alpha) varies along the grid.
     """
-    if config.sweep_kind != "n_grid":
-        raise ConfigError("run_norm_growth_sweep needs an n_grid config")
     regime = config.regime
+    sig = regime.sigma_sq
+    if not 0.0 < tau < sig:
+        raise ConfigError(f"norm-growth sweeps need tau in (0, sigma_sq) = (0, {sig})")
+    if any(v < 1 or v != int(v) for v in config.grid):
+        raise ConfigError("n grid values must be positive integers")
     check_train_error_monotone(regime)
 
-    k, r, _ = select_regularizer(regime, config.tau_fixed, n=1)
+    k, r, _ = select_regularizer(regime, tau, n=1)
     theory = asymptotic_errors(regime, k)
     points = [
         _GridPoint(
@@ -322,7 +317,7 @@ def run_diagnostics(
     alpha, gamma = regime.alpha, regime.gamma_star
     if not gamma > 0.0:
         raise ConfigError("diagnostics need gamma_star > 0")
-    p = feature_count(regime, n)
+    p = feature_count(n, gamma)
 
     positivity = positivity_check(alpha, gamma, n, list(_R_GRID), trials, seed)
     positivity_pass = all(mean > 0.0 for _, mean in positivity)
@@ -334,9 +329,7 @@ def run_diagnostics(
     measure = SpectralMeasure(np.sort(atoms))
     limit = LimitCdf(alpha, gamma)
     t_grid = np.geomspace(gamma**alpha + 1.0 / n, float(n) ** alpha, _CDF_GRID_SIZE)
-    deviation = max(
-        abs(esd_cdf(measure, float(t)) - limit_cdf(limit, float(t))) for t in t_grid
-    )
+    deviation = float(np.max(np.abs(esd_cdf(measure, t_grid) - limit_cdf(limit, t_grid))))
     cdf_bound = 2.0 / p + gamma / n
     cdf_pass = deviation <= cdf_bound
 
@@ -345,7 +338,7 @@ def run_diagnostics(
     coarse_n = max(n // 4, 8)
     residuals = {}
     for m in (coarse_n, n):
-        lam = np.arange(1, feature_count(regime, m) + 1, dtype=float) ** -alpha
+        lam = power_law_spectrum(feature_count(m, gamma), alpha)
         residuals[m] = self_consistent_residual(lam, m, 1.0, k, alpha)
     residual_pass = residuals[n] < residuals[coarse_n]
 

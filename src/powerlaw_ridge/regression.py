@@ -121,7 +121,7 @@ def generate(model: DataModel) -> Dataset:
     not checked here; Dataset.gram checks it once for every fit.
     """
     n, p = model.n, model.p
-    lam = _spectrum(model)
+    lam = power_law_spectrum(p, model.alpha)
     sqrt_lam = np.sqrt(lam)
     streams = np.random.SeedSequence([model.seed, 3]).spawn(n)
     X = np.empty((p, n))
@@ -150,11 +150,17 @@ def nested(full: Dataset, model: DataModel) -> Dataset:
             f"({p_full}, {n_full}) draw"
         )
     X = np.ascontiguousarray(full.X[: model.p, : model.n])
-    return _label(model, X, _spectrum(model))
+    return _label(model, X, power_law_spectrum(model.p, model.alpha))
 
 
-def _spectrum(model: DataModel) -> np.ndarray:
-    return np.arange(1, model.p + 1, dtype=float) ** -model.alpha
+def power_law_spectrum(p: int, alpha: float) -> np.ndarray:
+    """The covariance eigenvalues lambda_i = i^-alpha, i = 1..p."""
+    return np.arange(1, p + 1, dtype=float) ** -alpha
+
+
+def feature_count(n: int, gamma: float) -> int:
+    """Feature dimension p = round(n / gamma) of n samples at aspect ratio gamma."""
+    return int(round(n / gamma))
 
 
 def _label(model: DataModel, X: np.ndarray, lam: np.ndarray) -> Dataset:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .regression import feature_count, power_law_spectrum
 
 # eigenvalue noise below this fraction of the largest atom is clamped to zero
 _CLAMP_REL = 1e-12
@@ -68,17 +69,20 @@ class LimitCdf:
             raise DomainError(f"gamma_star must be positive, got {self.gamma_star}")
 
 
-def esd_cdf(measure: SpectralMeasure, t: float) -> float:
-    """Fraction of atoms <= t (right-continuous staircase)."""
-    return float(np.searchsorted(measure.atoms, t, side="right")) / measure.atoms.size
+def esd_cdf(measure: SpectralMeasure, t):
+    """Fraction of atoms <= t (right-continuous staircase), for a scalar or
+    an array of t."""
+    return np.searchsorted(measure.atoms, t, side="right") / measure.atoms.size
 
 
-def limit_cdf(limit: LimitCdf, t: float) -> float:
-    """CDF of the scaled limit: 1 - g t^(-1/alpha) on t >= g^alpha, else 0."""
+def limit_cdf(limit: LimitCdf, t):
+    """CDF of the scaled limit: 1 - g t^(-1/alpha) on t >= g^alpha, else 0,
+    for a scalar or an array of t."""
     g = limit.gamma_star
-    if t < g**limit.alpha:
-        return 0.0
-    return 1.0 - g * t ** (-1.0 / limit.alpha)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # t <= 0 is masked
+        tail = 1.0 - g * t ** (-1.0 / limit.alpha)
+    return np.where(t < g**limit.alpha, 0.0, tail)[()]  # [()]: 0-d to scalar
 
 
 def d_rS_dr(measure: SpectralMeasure, r: float) -> float:
@@ -112,7 +116,7 @@ def scaled_gram_eigenvalues(
     n: int, p: int, alpha: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Eigenvalues of n^alpha * Gram for one power-law random-design draw."""
-    lam = np.arange(1, p + 1, dtype=float) ** -alpha
+    lam = power_law_spectrum(p, alpha)
     X = np.sqrt(lam)[:, None] * rng.standard_normal((p, n))
     gram = X.T @ X / n
     return float(n) ** alpha * np.linalg.eigvalsh(gram)
@@ -141,7 +145,7 @@ def positivity_check(
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not gamma_star > 0.0:
         raise DomainError(f"gamma_star must be positive, got {gamma_star}")
-    p = int(round(n / gamma_star))
+    p = feature_count(n, gamma_star)
 
     sums = np.zeros(len(r_grid))
     for trial in range(trials):

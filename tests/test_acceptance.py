@@ -104,13 +104,11 @@ def test_criterion_2_tradeoff_reproduction():
     regime = AsymptoticRegime(alpha=1.75, gamma_star=0.5, sigma_sq=1.0)
     config = SweepConfig(
         regime=regime,
-        sweep_kind="tau_grid",
         grid=tuple(float(v) for v in np.linspace(0.05, 0.8, 8)),
         trials_per_point=20,
         base_seed=2024,
-        n_fixed=2000,
     )
-    result = run_tradeoff_sweep(config)
+    result = run_tradeoff_sweep(config, n=2000)
     worst_train = worst_test = 0.0
     for agg in result.aggregates:
         if agg.metric == "train_mse":
@@ -138,13 +136,11 @@ def test_criterion_3_norm_growth_exponent():
     for alpha in (1.25, 2.5):
         config = SweepConfig(
             regime=AsymptoticRegime(alpha=alpha, gamma_star=2.0 / 3.0, sigma_sq=1.0),
-            sweep_kind="n_grid",
             grid=grid,
             trials_per_point=10,
             base_seed=77,
-            tau_fixed=0.2,
         )
-        _, fits[alpha] = run_norm_growth_sweep(config)
+        _, fits[alpha] = run_norm_growth_sweep(config, tau=0.2)
     elapsed = time.time() - start
     slopes_ok = all(abs(fits[a].slope - a) <= 0.25 for a in fits)
     r2_ok = all(fits[a].r_squared >= 0.98 for a in fits)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import powerlaw_ridge
+import powerlaw_ridge.cli as cli
 import powerlaw_ridge.harness as harness
 from powerlaw_ridge.cli import main as cli_main
 from powerlaw_ridge.eigenlearning import AsymptoticRegime, asymptotic_errors
@@ -14,6 +16,8 @@ from powerlaw_ridge.errors import ConfigError, SweepError
 from powerlaw_ridge.harness import (
     AGG_HEADER,
     CSV_HEADER,
+    DiagnosticsReport,
+    ExponentFit,
     SweepConfig,
     SweepResult,
     aggregate_path,
@@ -26,20 +30,27 @@ from powerlaw_ridge.harness import (
     run_tradeoff_sweep,
     trial_seed,
 )
-from powerlaw_ridge.regression import DataModel, fit_ridge, generate
+from powerlaw_ridge.regression import DataModel, feature_count, fit_ridge, generate
 
 REGIME = AsymptoticRegime(alpha=1.75, gamma_star=0.5, sigma_sq=1.0)
+# the fixed sample count of the tiny tau sweeps, the fixed tau of the n sweeps
+TINY_N = 48
+TINY_TAU = 0.2
+
+
+@pytest.fixture
+def no_solve_or_draw(monkeypatch):
+    """Fails any theory solve or draw: a runner checks its input before them."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a theory solve or draw ran before the input checks")
+
+    for name in ("check_train_error_monotone", "select_regularizer", "generate"):
+        monkeypatch.setattr(harness, name, fail)
 
 
 def tiny_tau_config(**overrides):
-    base = dict(
-        regime=REGIME,
-        sweep_kind="tau_grid",
-        grid=(0.2, 0.5),
-        trials_per_point=2,
-        base_seed=11,
-        n_fixed=48,
-    )
+    base = dict(regime=REGIME, grid=(0.2, 0.5), trials_per_point=2, base_seed=11)
     base.update(overrides)
     return SweepConfig(**base)
 
@@ -47,11 +58,9 @@ def tiny_tau_config(**overrides):
 def tiny_n_config(**overrides):
     base = dict(
         regime=AsymptoticRegime(alpha=1.25, gamma_star=2.0 / 3.0, sigma_sq=1.0),
-        sweep_kind="n_grid",
         grid=(48.0, 96.0, 192.0),
         trials_per_point=2,
         base_seed=5,
-        tau_fixed=0.2,
     )
     base.update(overrides)
     return SweepConfig(**base)
@@ -85,19 +94,19 @@ class TestSeedSchedule:
         # whether it is shared (tau grid) or cut out of a larger one (n grid)
         if kind == "tau_grid":
             config = tiny_tau_config()
-            rows = run_tradeoff_sweep(config).rows
+            rows = run_tradeoff_sweep(config, TINY_N).rows
         else:
             config = tiny_n_config()
-            rows = run_norm_growth_sweep(config)[0].rows
+            rows = run_norm_growth_sweep(config, TINY_TAU)[0].rows
         regime = config.regime
         assert [(row.sweep_value, row.trial) for row in rows] == [
             (v, t) for v in config.grid for t in range(config.trials_per_point)
         ]
         for row in rows:
-            n = config.n_fixed if kind == "tau_grid" else int(row.sweep_value)
+            n = TINY_N if kind == "tau_grid" else int(row.sweep_value)
             model = DataModel(
                 n=n,
-                p=harness.feature_count(regime, n),
+                p=feature_count(n, regime.gamma_star),
                 alpha=regime.alpha,
                 sigma_sq=regime.sigma_sq,
                 seed=config.base_seed + row.trial,
@@ -109,8 +118,8 @@ class TestSeedSchedule:
             assert row.sq_norm == fit.sq_norm
 
     def test_adding_trials_keeps_existing_rows(self):
-        rows_2 = run_tradeoff_sweep(tiny_tau_config(trials_per_point=2)).rows
-        rows_3 = run_tradeoff_sweep(tiny_tau_config(trials_per_point=3)).rows
+        rows_2 = run_tradeoff_sweep(tiny_tau_config(trials_per_point=2), TINY_N).rows
+        rows_3 = run_tradeoff_sweep(tiny_tau_config(trials_per_point=3), TINY_N).rows
         by_key_3 = {(r.sweep_value, r.trial): r for r in rows_3}
         for row in rows_2:
             assert by_key_3[(row.sweep_value, row.trial)] == row
@@ -118,13 +127,13 @@ class TestSeedSchedule:
 
 class TestTradeoffSweep:
     def test_rows_and_aggregates_shape(self):
-        result = run_tradeoff_sweep(tiny_tau_config())
+        result = run_tradeoff_sweep(tiny_tau_config(), TINY_N)
         assert len(result.rows) == 4
         assert len(result.aggregates) == 6  # 2 points x 3 metrics
         assert {row.trial for row in result.rows} == {0, 1}
 
     def test_theory_columns_recompute(self):
-        result = run_tradeoff_sweep(tiny_tau_config())
+        result = run_tradeoff_sweep(tiny_tau_config(), TINY_N)
         for agg in result.aggregates:
             point = asymptotic_errors(
                 REGIME,
@@ -138,7 +147,7 @@ class TestTradeoffSweep:
                 assert math.isnan(agg.theory)
 
     def test_quantile_ordering_and_mean_bounds(self):
-        result = run_tradeoff_sweep(tiny_tau_config(trials_per_point=12, n_fixed=96))
+        result = run_tradeoff_sweep(tiny_tau_config(trials_per_point=12), 96)
         for agg in result.aggregates:
             assert agg.q20 <= agg.q50 <= agg.q80
             rows = [
@@ -157,7 +166,7 @@ class TestTradeoffSweep:
 
         monkeypatch.setattr(harness, "generate", boom)
         with pytest.raises(SweepError, match="sweep value 0.2, trial 0"):
-            run_tradeoff_sweep(tiny_tau_config())
+            run_tradeoff_sweep(tiny_tau_config(), TINY_N)
 
     def test_failed_fit_names_its_grid_point(self, monkeypatch):
         calls = []
@@ -170,17 +179,17 @@ class TestTradeoffSweep:
 
         monkeypatch.setattr(harness, "fit_ridge", fail_second)
         with pytest.raises(SweepError, match="sweep value 0.5, trial 0") as caught:
-            run_tradeoff_sweep(tiny_tau_config())
+            run_tradeoff_sweep(tiny_tau_config(), TINY_N)
         assert (caught.value.sweep_value, caught.value.trial) == (0.5, 0)
 
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            run_tradeoff_sweep(tiny_n_config())
+    def test_wrong_kind_rejected(self, no_solve_or_draw):
+        with pytest.raises(ConfigError, match="tau grid values"):
+            run_tradeoff_sweep(tiny_n_config(), TINY_N)
 
 
 class TestNormGrowthSweep:
     def test_regularizer_factor_fixed_across_n(self):
-        result, fit = run_norm_growth_sweep(tiny_n_config())
+        result, fit = run_norm_growth_sweep(tiny_n_config(), TINY_TAU)
         rs = {row.r for row in result.rows}
         assert len(rs) == 1
         # rho_n = r * n^-alpha decreases along the grid
@@ -189,7 +198,7 @@ class TestNormGrowthSweep:
         assert fit.r_squared > 0.9
 
     def test_norm_grows_with_n(self):
-        result, fit = run_norm_growth_sweep(tiny_n_config())
+        result, fit = run_norm_growth_sweep(tiny_n_config(), TINY_TAU)
         means = {}
         for row in result.rows:
             means.setdefault(row.sweep_value, []).append(row.sq_norm)
@@ -197,41 +206,32 @@ class TestNormGrowthSweep:
         assert np.mean(means[ns[-1]]) > np.mean(means[ns[0]])
         assert fit.slope > 0.0
 
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            run_norm_growth_sweep(tiny_tau_config())
+    def test_wrong_kind_rejected(self, no_solve_or_draw):
+        with pytest.raises(ConfigError, match="n grid values"):
+            run_norm_growth_sweep(tiny_tau_config(), TINY_TAU)
 
 
 class TestConfigValidation:
-    def test_bad_kind(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(regime=REGIME, sweep_kind="bogus", grid=(0.1,), n_fixed=4)
-
     def test_empty_or_unordered_grid(self):
         with pytest.raises(ConfigError):
-            SweepConfig(regime=REGIME, sweep_kind="tau_grid", grid=(), n_fixed=4)
+            SweepConfig(regime=REGIME, grid=())
         with pytest.raises(ConfigError):
-            SweepConfig(
-                regime=REGIME, sweep_kind="tau_grid", grid=(0.5, 0.2), n_fixed=4
-            )
+            SweepConfig(regime=REGIME, grid=(0.5, 0.2))
 
-    def test_tau_bounds(self):
+    def test_tau_bounds(self, no_solve_or_draw):
         with pytest.raises(ConfigError):
-            SweepConfig(
-                regime=REGIME, sweep_kind="tau_grid", grid=(0.5, 1.5), n_fixed=4
-            )
+            run_tradeoff_sweep(SweepConfig(regime=REGIME, grid=(0.5, 1.5)), 4)
 
-    def test_missing_fixed_parameters(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(regime=REGIME, sweep_kind="tau_grid", grid=(0.2,))
-        with pytest.raises(ConfigError):
-            SweepConfig(regime=REGIME, sweep_kind="n_grid", grid=(32.0,))
+    def test_bad_fixed_value(self, no_solve_or_draw):
+        with pytest.raises(ConfigError, match="n >= 1"):
+            run_tradeoff_sweep(SweepConfig(regime=REGIME, grid=(0.2,)), 0)
+        for tau in (0.0, 1.0):
+            with pytest.raises(ConfigError, match="tau in"):
+                run_norm_growth_sweep(SweepConfig(regime=REGIME, grid=(32.0,)), tau)
 
-    def test_integer_n_grid(self):
+    def test_integer_n_grid(self, no_solve_or_draw):
         with pytest.raises(ConfigError):
-            SweepConfig(
-                regime=REGIME, sweep_kind="n_grid", grid=(32.5,), tau_fixed=0.2
-            )
+            run_norm_growth_sweep(SweepConfig(regime=REGIME, grid=(32.5,)), 0.2)
 
     def test_trials_per_point_positive(self):
         with pytest.raises(ConfigError):
@@ -240,11 +240,11 @@ class TestConfigValidation:
 
 class TestExport:
     def test_csv_headers_and_determinism(self, tmp_path):
-        result = run_tradeoff_sweep(tiny_tau_config())
+        result = run_tradeoff_sweep(tiny_tau_config(), TINY_N)
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
         export(result, "csv", path_a)
-        export(run_tradeoff_sweep(tiny_tau_config()), "csv", path_b)
+        export(run_tradeoff_sweep(tiny_tau_config(), TINY_N), "csv", path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
         assert path_a.read_text().splitlines()[0] == CSV_HEADER
         agg = aggregate_path(path_a)
@@ -252,7 +252,7 @@ class TestExport:
         assert agg.read_text().splitlines()[0] == AGG_HEADER
 
     def test_csv_theory_column_round_trips_17_digits(self, tmp_path):
-        result = run_tradeoff_sweep(tiny_tau_config())
+        result = run_tradeoff_sweep(tiny_tau_config(), TINY_N)
         export(result, "csv", tmp_path / "out.csv")
         lines = (tmp_path / "out.agg.csv").read_text().splitlines()[1:]
         for line in lines:
@@ -268,7 +268,7 @@ class TestExport:
             assert float(theory) == expected  # 17 significant digits are lossless
 
     def test_json_round_trip(self, tmp_path):
-        result = run_tradeoff_sweep(tiny_tau_config())
+        result = run_tradeoff_sweep(tiny_tau_config(), TINY_N)
         path = tmp_path / "out.json"
         export(result, "json", path)
         loaded = json.loads(path.read_text())
@@ -423,6 +423,124 @@ class TestCli:
 
     def test_bad_grid_is_config_error(self, capsys):
         assert cli_main(["tradeoff", "--tau-grid", "nope"]) == 1
+
+
+SWEEP_FLAGS = ("--trials", "--seed", "--out", "--format")
+
+
+class TestCliOptions:
+    """The option set, defaults and config handling that the parser fixes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Records what the subcommands pass to the runners and to export."""
+        seen = {}
+
+        def tradeoff(config, n):
+            seen["tradeoff"] = (config, n)
+            return SweepResult(rows=[], aggregates=[])
+
+        def normgrowth(config, tau):
+            seen["normgrowth"] = (config, tau)
+            return SweepResult(rows=[], aggregates=[]), ExponentFit(1.0, 0.0, 1.0)
+
+        def diagnose(regime, n, seed, trials):
+            seen["diagnose"] = (regime, n, seed, trials)
+            return DiagnosticsReport([], True, 0.0, 1.0, True, 8, 1.0, 32, 0.5, True)
+
+        def solve(regime, tau, n):
+            seen["solve"] = (regime, tau, n)
+            return 1.0, 1.0, 1.0
+
+        monkeypatch.setattr(cli, "run_tradeoff_sweep", tradeoff)
+        monkeypatch.setattr(cli, "run_norm_growth_sweep", normgrowth)
+        monkeypatch.setattr(cli, "run_diagnostics", diagnose)
+        monkeypatch.setattr(cli, "select_regularizer", solve)
+        monkeypatch.setattr(cli, "export", lambda result, fmt, path: seen.update(fmt=fmt))
+        return seen
+
+    @pytest.mark.parametrize(
+        "command, count, extra",
+        [
+            ("tradeoff", 10, {"--n", "--tau-grid", *SWEEP_FLAGS}),
+            ("normgrowth", 10, {"--tau", "--n-grid", *SWEEP_FLAGS}),
+            ("diagnose", 7, {"--n", "--trials", "--seed"}),
+            ("solve", 6, {"--tau", "--n"}),
+        ],
+    )
+    def test_flag_sets(self, command, count, extra, capsys):
+        with pytest.raises(SystemExit):
+            cli_main([command, "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert flags == {"--alpha", "--gamma", "--sigma-sq", "--config", *extra}
+        assert len(flags) == count
+
+    def test_defaults(self, calls, capsys):
+        assert cli_main(["tradeoff", "--out", "unused.csv"]) == 0
+        assert calls["fmt"] == "csv"
+        assert calls["tradeoff"] == (
+            SweepConfig(
+                regime=AsymptoticRegime(alpha=1.75, gamma_star=0.5, sigma_sq=1.0),
+                grid=tuple(float(v) for v in np.linspace(0.05, 0.8, 16)),
+                trials_per_point=10,
+                base_seed=0,
+            ),
+            2000,
+        )
+        assert cli_main(["normgrowth"]) == 0
+        n_grid = sorted({int(round(v)) for v in np.geomspace(200, 3000, 10)})
+        assert calls["normgrowth"] == (
+            SweepConfig(
+                regime=AsymptoticRegime(alpha=1.25, gamma_star=2.0 / 3.0, sigma_sq=1.0),
+                grid=tuple(float(v) for v in n_grid),
+                trials_per_point=10,
+                base_seed=0,
+            ),
+            0.2,
+        )
+        assert cli_main(["diagnose"]) == 0
+        assert calls["diagnose"] == (REGIME, 500, 0, 10)
+        assert cli_main(["solve", "--tau", "0.3", "--n", "9"]) == 0
+        assert calls["solve"] == (REGIME, 0.3, 9)
+
+    def test_flag_beats_config_beats_default(self, calls, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"alpha": 2.0, "n": 300, "seed": 4}))
+        # the explicit --n wins wherever it stands relative to --config
+        flag, from_file = ["--n", "400"], ["--config", str(config)]
+        for argv in (flag + from_file, from_file + flag):
+            assert cli_main(["tradeoff", *argv]) == 0
+            sweep, n = calls["tradeoff"]
+            assert n == 400
+            assert sweep.base_seed == 4
+            assert sweep.regime == AsymptoticRegime(alpha=2.0, gamma_star=0.5)
+
+    @pytest.mark.parametrize("values", [{"n": "abc"}, {"n": 100.7}, {"alpha": "x"}])
+    def test_config_values_checked_like_flags(self, values, calls, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"tau": 0.2, "n": 100, **values}))
+        assert cli_main(["solve", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert "solve" not in calls
+
+    def test_config_choices_checked_before_the_sweep(self, calls, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"format": "xml", "out": str(tmp_path / "x.xml")}))
+        assert cli_main(["tradeoff", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert "tradeoff" not in calls
+
+    def test_config_null_leaves_option_unset(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"tau": None, "n": 100}))
+        assert cli_main(["solve", "--config", str(config)]) == 1  # --tau is required
+        assert "--tau" in capsys.readouterr().err
+        small_sweep = {"n": 48, "trials": 1, "tau_grid": "0.2:0.5:2", "out": None}
+        config.write_text(json.dumps(small_sweep))
+        assert cli_main(["tradeoff", "--config", str(config)]) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_public_names_are_pinned():
