@@ -55,6 +55,8 @@ def _parse_grid(text: str, kind: str) -> tuple[float, ...]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("count must be >= 1")
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("grid ends must be finite")
         if kind == "tau":
             return tuple(float(v) for v in np.linspace(lo, hi, count))
         scale = parts[3] if len(parts) == 4 else "log"

@@ -15,6 +15,14 @@ shared by every fit on it, so fits at several penalties (a harness tau
 grid) cost one Gram product plus, per penalty, one copy of the Gram that
 LAPACK factors in place; a fit scans no full matrix for finiteness.
 
+Every BLAS call on this path (the Gram, the labels and the fit's
+matrix-vector products) goes through scipy.linalg.blas, the same BLAS
+library that cho_factor and cho_solve call.  numpy and scipy may each
+bundle their own OpenBLAS with its own thread pool, and a pool's workers
+spin for a while after each threaded call; alternating between the two
+libraries leaves each call sharing the cores with the other pool's
+spinning workers.
+
 Draws are prefix-consistent: the design of a smaller (n, p) with the same
 seed is the leading block of a larger one, so :func:`nested` can cut a
 whole grid of sample counts out of a single draw.
@@ -28,6 +36,12 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+# the fit path's products, not numpy's @, so that they run in the BLAS (and
+# thread pool) of cho_factor and cho_solve; see the module docstring.  Each
+# passes X.T, which is Fortran-ordered for the C-ordered X the package
+# draws, so f2py hands BLAS the data without a copy.
+from scipy.linalg.blas import dgemv, dsyrk
+
 from .errors import DomainError
 
 # Definition of the estimator requires rho > 0; values this small only guard
@@ -35,7 +49,8 @@ from .errors import DomainError
 _RHO_FLOOR = 1e-300
 
 # generate draws this many sample columns into a row-major buffer before
-# writing them into X; 128 rows of p = 2000 are 2 MB.
+# writing them into X, and Dataset.gram mirrors this many rows of the
+# Gram's triangle at a time; 128 rows of p = 2000 are 2 MB.
 _BLOCK_COLUMNS = 128
 
 
@@ -82,21 +97,38 @@ class Dataset:
 
         Computed on first use, which is also the one finiteness check for
         every fit on this dataset: non-finite entries in X or y, or a Gram
-        that overflows, raise DomainError here.  The product is taken on a
-        C-ordered X, which numpy hands to BLAS syrk, so the Gram is exactly
-        symmetric.  Read-only, since every later fit on this dataset reads
-        it.
+        that overflows, raise DomainError here.  BLAS syrk fills the lower
+        triangle, which is mirrored into the upper one, so the Gram is
+        exactly symmetric.  Read-only, since every later fit on this
+        dataset reads it.
         """
         X = np.ascontiguousarray(self.X)
         if not (np.isfinite(X).all() and np.isfinite(self.y).all()):
             raise DomainError("data contains non-finite entries")
         p, n = X.shape
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = X.T @ X if p > n else X @ X.T / n
+        # syrk's Fortran-ordered lower triangle is the C-ordered upper one
+        # that numpy's X.T @ X computes, bit for bit; the upper triangle
+        # differs from it in the last bits at some shapes
+        gram = dsyrk(1.0, X.T, trans=0 if p > n else 1, lower=1).T
+        _mirror_upper(gram)
+        if p <= n:
+            gram /= n
         if not np.isfinite(gram).all():
             raise DomainError("the Gram matrix of the design overflows")
         gram.flags.writeable = False
         return gram
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the upper triangle of the C-ordered square ``a`` into its lower
+    one, in place, a block of rows at a time."""
+    m = len(a)
+    for i0 in range(0, m, _BLOCK_COLUMNS):
+        i1 = min(i0 + _BLOCK_COLUMNS, m)
+        a[i1:, i0:i1] = a[i0:i1, i1:].T
+        block = a[i0:i1, i0:i1]
+        lower = np.tril_indices(i1 - i0, -1)
+        block[lower] = block.T[lower]
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +200,7 @@ def _label(model: DataModel, X: np.ndarray, lam: np.ndarray) -> Dataset:
     beta_star = beta_rng.standard_normal(model.p) * np.sqrt(model.beta_variance)
     noise_rng = np.random.default_rng([model.seed, 2])
     eps = noise_rng.standard_normal(model.n) * np.sqrt(model.sigma_sq)
-    y = X.T @ beta_star + eps
+    y = dgemv(1.0, X.T, beta_star) + eps
     return Dataset(X=X, y=y, beta_star=beta_star, eigenvalues=lam, sigma_sq=model.sigma_sq)
 
 
@@ -223,11 +255,11 @@ def fit_ridge(data: Dataset, rho: float) -> RidgeFit:
             f"= {floor:.3g}"
         ) from exc
     if dual:
-        beta_hat = X @ cho_solve(factor, y, check_finite=False)
+        beta_hat = dgemv(1.0, X.T, cho_solve(factor, y, check_finite=False), trans=1)
     else:
-        beta_hat = cho_solve(factor, X @ y / n, check_finite=False)
+        beta_hat = cho_solve(factor, dgemv(1.0, X.T, y, trans=1) / n, check_finite=False)
 
-    residual = X.T @ beta_hat - y
+    residual = dgemv(1.0, X.T, beta_hat) - y
     return RidgeFit(
         beta_hat=beta_hat,
         rho=rho,

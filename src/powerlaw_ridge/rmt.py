@@ -117,8 +117,10 @@ def scaled_gram_eigenvalues(
 ) -> np.ndarray:
     """Eigenvalues of n^alpha * Gram for one power-law random-design draw."""
     lam = power_law_spectrum(p, alpha)
-    X = np.sqrt(lam)[:, None] * rng.standard_normal((p, n))
-    gram = X.T @ X / n
+    X = rng.standard_normal((p, n))
+    X *= np.sqrt(lam)[:, None]
+    gram = X.T @ X
+    gram /= n
     return float(n) ** alpha * np.linalg.eigvalsh(gram)
 
 

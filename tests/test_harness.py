@@ -408,12 +408,16 @@ class TestCli:
             [],
             ["solve", "--n", "abc"],
             ["tradeoff", "--empirical-test-n", "50"],
+            ["normgrowth", "--n-grid", "1:inf:3"],
+            ["tradeoff", "--tau-grid", "0.1:nan:3"],
         ],
     )
-    def test_usage_errors_are_config_errors(self, argv, capsys):
-        # exit 2 is reserved for numerical failures
+    def test_usage_errors_are_config_errors(self, argv, capsys, recwarn):
+        # exit 2 is reserved for numerical failures; a warning would print
+        # to stderr ahead of the config error
         assert cli_main(argv) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not recwarn.list
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,5 +1,6 @@
 """Data generation and closed-form ridge fits against independent solves."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -65,9 +66,11 @@ class TestGenerate:
         reference = np.empty((p, n))
         for j, child in enumerate(np.random.SeedSequence([model.seed, 3]).spawn(n)):
             reference[:, j] = sqrt_lam * np.random.default_rng(child).standard_normal(p)
-        X = generate(model).X
-        assert np.array_equal(X, reference)
-        assert X.flags.c_contiguous
+        data = generate(model)
+        assert np.array_equal(data.X, reference)
+        assert data.X.flags.c_contiguous
+        eps = np.random.default_rng([model.seed, 2]).standard_normal(n) * np.sqrt(0.5)
+        assert np.array_equal(data.y, reference.T @ data.beta_star + eps)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -119,25 +122,48 @@ class TestFitRidge:
         assert data.gram.shape == (min(n, p), min(n, p))
         assert not data.gram.flags.writeable
 
-    @pytest.mark.parametrize("shape", [(40, 90), (90, 40)], ids=["dual", "primal"])
+    @pytest.mark.parametrize(
+        "shape",
+        [(40, 90), (1500, 2250), (1126, 1689), (845, 1268), (90, 40), (700, 350), (1200, 800)],
+        ids=["dual", "dual-1500", "dual-1126", "dual-845", "primal", "primal-700", "primal-1200"],
+    )
     def test_equals_reference_factorization(self, shape):
-        # the reference factors a Fortran-ordered copy of the Gram with
-        # scipy's default finiteness checks
+        # the reference takes every product with numpy's @ and factors a
+        # Fortran-ordered copy of its Gram with scipy's default finiteness
+        # checks; the larger dual shapes are the norm-growth grid's own
         n, p = shape
         data = generate(DataModel(n=n, p=p, alpha=1.5, sigma_sq=0.4, seed=29))
+        X, y = data.X, data.y
+        gram = X.T @ X if p > n else X @ X.T / n
+        assert np.array_equal(data.gram, gram)
         for rho in (1e-5, 0.02, 3.0):
-            work = np.array(data.gram, order="F")
+            work = np.array(gram, order="F")
             work[np.diag_indices_from(work)] += n * rho if p > n else rho
             factor = cho_factor(work, lower=False, overwrite_a=True)
             if p > n:
-                beta_hat = data.X @ cho_solve(factor, data.y)
+                beta_hat = X @ cho_solve(factor, y)
             else:
-                beta_hat = cho_solve(factor, data.X @ data.y / n)
+                beta_hat = cho_solve(factor, X @ y / n)
             fit = fit_ridge(data, rho)
             assert np.array_equal(fit.beta_hat, beta_hat)
-            residual = data.X.T @ beta_hat - data.y
+            residual = X.T @ beta_hat - y
             assert fit.train_mse == float(np.mean(residual**2))
             assert fit.sq_norm == float(beta_hat @ beta_hat)
+
+    @pytest.mark.parametrize("shape", [(100, 4000), (4000, 100)], ids=["dual", "primal"])
+    def test_products_copy_no_design(self, shape):
+        # BLAS receives X.T, which is Fortran-ordered for a C-ordered X, so
+        # neither the Gram nor a fit copies the design
+        n, p = shape
+        data = generate(DataModel(n=n, p=p, alpha=1.5, sigma_sq=0.4, seed=7))
+        tracemalloc.start()
+        try:
+            data.gram
+            fit_ridge(data, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.X.nbytes / 4
 
     @pytest.mark.parametrize(
         "shape, cut",

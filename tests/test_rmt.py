@@ -226,3 +226,12 @@ class TestSpectralMeasureClamping:
         rng = np.random.default_rng(0)
         values = scaled_gram_eigenvalues(20, 40, 1.5, rng)
         assert values.shape == (20,)
+
+    @pytest.mark.parametrize("n, p", [(20, 40), (1000, 2000), (300, 150)])
+    def test_gram_sampler_equals_reference(self, n, p):
+        # the reference scales and divides into fresh arrays
+        lam = np.arange(1, p + 1, dtype=float) ** -1.75
+        X = np.sqrt(lam)[:, None] * np.random.default_rng(4).standard_normal((p, n))
+        reference = float(n) ** 1.75 * np.linalg.eigvalsh(X.T @ X / n)
+        values = scaled_gram_eigenvalues(n, p, 1.75, np.random.default_rng(4))
+        assert np.array_equal(values, reference)
