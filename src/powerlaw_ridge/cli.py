@@ -213,6 +213,11 @@ def _config_flags(command: str, path: str) -> list[str]:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # joined as --option=value, a value that starts with "-" is not read as a flag
+    flags = {"--" + key.replace("_", "-") for key in _OPTIONS}
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in flags:
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     if argv and argv[0] in _COMMANDS:
         finder = _Parser(add_help=False)
         finder.add_argument("--config")

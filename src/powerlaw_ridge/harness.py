@@ -14,11 +14,11 @@ and the value held fixed:
 Trial t is seeded as base_seed + t at every grid point, so the grid points
 are common random numbers: each trial draws one dataset at the largest
 sample count and serves the whole grid from it.  A tau grid fits every
-target on that one dataset and its one Gram product; an n grid cuts each
-smaller design out of it with :func:`nested`.  A row's data never depends
-on how many trials run beside it, and output is byte-identical across
-re-runs.  A failed trial aborts the sweep; silent NaN rows would poison the
-quantile ribbons.
+target on that one dataset in one :func:`fit_ridge` call; an n grid cuts
+each smaller design out of it with :func:`nested`.  A row's data never
+depends on how many trials run beside it, and output is byte-identical
+across re-runs.  A failed trial aborts the sweep; silent NaN rows would
+poison the quantile ribbons.
 
 The export schema is the field list of :class:`TrialRow` and
 :class:`AggregateRow`: CSV headers and JSON keys are read from it.
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Literal, NamedTuple
 
@@ -188,7 +189,7 @@ def _run_sweep(config: SweepConfig, points: list[_GridPoint]) -> SweepResult:
 def _run_trial(
     config: SweepConfig, points: list[_GridPoint], trial: int
 ) -> list[TrialRow]:
-    """One draw at the grid's largest n, then one fit per grid point.
+    """One draw at the grid's largest n, then one fit_ridge call per n.
 
     The draw lives only as long as this call, so a trial's dataset is
     released before the next trial draws its own.
@@ -205,16 +206,17 @@ def _run_trial(
             seed=seed,
         )
 
-    point = points[0]  # a failed draw is reported at the first grid value
+    group = points[:1]  # a failed draw is reported at the first grid value
     try:
         full_model = model(max(pt.n for pt in points))
         full = generate(full_model)
         rows = []
-        for point in points:
-            point_model = model(point.n)
-            data = full if point_model == full_model else nested(full, point_model)
-            fit = fit_ridge(data, point.rho_n)
-            rows.append(
+        for n, same_n in groupby(points, key=lambda point: point.n):
+            group = list(same_n)
+            data = full if n == full_model.n else nested(full, model(n))
+            fits = fit_ridge(data, [point.rho_n for point in group])
+            del data  # a nested design is freed before the next one is cut
+            rows.extend(
                 TrialRow(
                     sweep_value=point.sweep_value,
                     trial=trial,
@@ -226,9 +228,11 @@ def _run_trial(
                     test_mse=fit.test_mse_analytic,
                     sq_norm=fit.sq_norm,
                 )
+                for point, fit in zip(group, fits)
             )
-            del data  # a nested design is freed before the next one is cut
     except Exception as exc:  # noqa: BLE001 - re-raised with trial context
+        # fit_ridge gives the position of a penalty that failed to factor
+        point = group[getattr(exc, "penalty_index", 0)]
         raise SweepError(point.sweep_value, trial, str(exc)) from exc
     return rows
 

@@ -9,11 +9,11 @@ matrix; no matrix square root is ever formed.
 Ridge fits use whichever closed form is cheaper: the primal normal
 equations when p <= n, the Woodbury dual form
 beta = X (X^T X + n rho I)^-1 y when p > n.  Both are solved with a
-symmetric positive-definite factorization of the dataset's Gram matrix,
-which is computed (and checked finite, with the data) once per dataset and
-shared by every fit on it, so fits at several penalties (a harness tau
-grid) cost one Gram product plus, per penalty, one copy of the Gram that
-LAPACK factors in place; a fit scans no full matrix for finiteness.
+symmetric positive-definite factorization of the dataset's Gram matrix.
+One fit_ridge call takes every penalty fitted on a dataset (a harness tau
+grid) and computes the Gram, and checks it and the data finite, once;
+each penalty but the last factors one copy of it, and the last the Gram
+itself, in place, so a one-penalty fit holds one Gram-sized matrix.
 
 Every BLAS call on this path (the Gram, the labels and the fit's
 matrix-vector products) goes through scipy.linalg.blas, the same BLAS
@@ -31,7 +31,6 @@ whole grid of sample counts out of a single draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -49,7 +48,7 @@ from .errors import DomainError
 _RHO_FLOOR = 1e-300
 
 # generate draws this many sample columns into a row-major buffer before
-# writing them into X, and Dataset.gram mirrors this many rows of the
+# writing them into X, and gram_matrix mirrors this many rows of the
 # Gram's triangle at a time; 128 rows of p = 2000 are 2 MB.
 _BLOCK_COLUMNS = 128
 
@@ -90,33 +89,30 @@ class Dataset:
     eigenvalues: np.ndarray = field(repr=False)  # (p,), lambda_i = i^-alpha
     sigma_sq: float = 0.0
 
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """The matrix fit_ridge factors, before the penalty: X^T X (n x n)
-        when p > n, X X^T / n (p x p) otherwise.
 
-        Computed on first use, which is also the one finiteness check for
-        every fit on this dataset: non-finite entries in X or y, or a Gram
-        that overflows, raise DomainError here.  BLAS syrk fills the lower
-        triangle, which is mirrored into the upper one, so the Gram is
-        exactly symmetric.  Read-only, since every later fit on this
-        dataset reads it.
-        """
-        X = np.ascontiguousarray(self.X)
-        if not (np.isfinite(X).all() and np.isfinite(self.y).all()):
-            raise DomainError("data contains non-finite entries")
-        p, n = X.shape
-        # syrk's Fortran-ordered lower triangle is the C-ordered upper one
-        # that numpy's X.T @ X computes, bit for bit; the upper triangle
-        # differs from it in the last bits at some shapes
-        gram = dsyrk(1.0, X.T, trans=0 if p > n else 1, lower=1).T
-        _mirror_upper(gram)
-        if p <= n:
-            gram /= n
-        if not np.isfinite(gram).all():
-            raise DomainError("the Gram matrix of the design overflows")
-        gram.flags.writeable = False
-        return gram
+def gram_matrix(data: Dataset) -> np.ndarray:
+    """The matrix fit_ridge factors, before the penalty: a new C-ordered
+    X^T X (n x n) when p > n, X X^T / n (p x p) otherwise.
+
+    This is a fit's one finiteness check: non-finite entries in X or y, or
+    a Gram that overflows, raise DomainError.  BLAS syrk fills the lower
+    triangle, which is mirrored into the upper one, so the Gram is exactly
+    symmetric.
+    """
+    X = np.ascontiguousarray(data.X)
+    if not (np.isfinite(X).all() and np.isfinite(data.y).all()):
+        raise DomainError("data contains non-finite entries")
+    p, n = X.shape
+    # syrk's Fortran-ordered lower triangle is the C-ordered upper one that
+    # numpy's X.T @ X computes, bit for bit; the upper triangle differs from
+    # it in the last bits at some shapes
+    gram = dsyrk(1.0, X.T, trans=0 if p > n else 1, lower=1).T
+    _mirror_upper(gram)
+    if p <= n:
+        gram /= n
+    if not np.isfinite(gram).all():
+        raise DomainError("the Gram matrix of the design overflows")
+    return gram
 
 
 def _mirror_upper(a: np.ndarray) -> None:
@@ -150,7 +146,7 @@ def generate(model: DataModel) -> Dataset:
     parallel) without changing the result.  Columns are drawn as contiguous
     rows of a small block buffer, scaled there, and each block is written
     into the C-ordered X once, so no column is written with a stride.  X is
-    not checked here; Dataset.gram checks it once for every fit.
+    not checked here; gram_matrix checks it once per fit_ridge call.
     """
     n, p = model.n, model.p
     lam = power_law_spectrum(p, model.alpha)
@@ -217,53 +213,63 @@ def analytic_test_mse(beta_hat: np.ndarray, data: Dataset, sigma_sq: float) -> f
     return float(sigma_sq + np.sum(data.eigenvalues * diff**2))
 
 
-def fit_ridge(data: Dataset, rho: float) -> RidgeFit:
+def fit_ridge(data: Dataset, rho: float | list[float]) -> RidgeFit | list[RidgeFit]:
     """Closed-form ridge fit; dual (Woodbury) form when p > n, primal else.
 
-    The data and the Gram are checked finite once per dataset, by
-    Dataset.gram; a fit checks only its penalty, and the one full matrix it
-    copies is the cached Gram, which LAPACK factors in place.  Repeated fits
-    on one dataset pay only that copy, the factorization and the
-    matrix-vector products.  A penalty that overflows the Gram's diagonal,
-    or one too small for the Cholesky factorization to succeed in floating
-    point, raises DomainError.
+    One penalty returns one fit, and a sequence of penalties one fit per
+    penalty, in order, all from one Gram (gram_matrix): each penalty but the
+    last factors a reused copy of it, and the last the Gram itself, in
+    place.  A penalty that is not positive, or that overflows the Gram's
+    diagonal, raises DomainError before any factorization; one too small for
+    the Cholesky factorization to succeed in floating point raises
+    DomainError with the penalty's position as ``penalty_index``.
     """
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    rho = max(rho, _RHO_FLOOR)
+    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
+    for value in rhos:
+        if not value > 0.0:
+            raise DomainError(f"rho must be positive, got {value}")
+    rhos = [max(value, _RHO_FLOOR) for value in rhos]
     X, y = data.X, data.y
     p, n = X.shape
-    gram = data.gram
-
     dual = p > n
-    penalty = n * rho if dual else rho
     name = "n*rho" if dual else "rho"
-    # the Gram is exactly symmetric, so its transposed copy is the
-    # Fortran-ordered matrix LAPACK wants, made by a plain memcpy
-    work = gram.copy().T
-    diagonal = np.diag_indices_from(work)
-    work[diagonal] += penalty
-    if not np.isfinite(work[diagonal]).all():
-        raise DomainError(f"penalty {name} = {penalty:.3g} overflows the Gram diagonal")
-    try:
-        factor = cho_factor(work, lower=False, overwrite_a=True, check_finite=False)
-    except LinAlgError as exc:
-        floor = float(np.max(np.diagonal(gram))) * np.finfo(float).eps
-        raise DomainError(
-            f"Cholesky factorization failed ({exc}): penalty {name} = "
-            f"{penalty:.3g} against the Gram's rounding floor max diagonal * eps "
-            f"= {floor:.3g}"
-        ) from exc
-    if dual:
-        beta_hat = dgemv(1.0, X.T, cho_solve(factor, y, check_finite=False), trans=1)
-    else:
-        beta_hat = cho_solve(factor, dgemv(1.0, X.T, y, trans=1) / n, check_finite=False)
-
-    residual = dgemv(1.0, X.T, beta_hat) - y
-    return RidgeFit(
-        beta_hat=beta_hat,
-        rho=rho,
-        train_mse=float(np.mean(residual**2)),
-        test_mse_analytic=analytic_test_mse(beta_hat, data, data.sigma_sq),
-        sq_norm=float(beta_hat @ beta_hat),
-    )
+    # the Gram is exactly symmetric, so its transpose is the Fortran-ordered
+    # matrix LAPACK wants; read the floor before the diagonal is overwritten
+    gram = gram_matrix(data).T
+    diagonal = np.diag_indices_from(gram)
+    floor = float(np.max(gram[diagonal])) * np.finfo(float).eps
+    penalties = [n * value if dual else value for value in rhos]
+    for penalty in penalties:
+        if not np.isfinite(gram[diagonal] + penalty).all():
+            raise DomainError(f"penalty {name} = {penalty:.3g} overflows the Gram diagonal")
+    copy = np.empty_like(gram) if len(rhos) > 1 else None
+    rhs = y if dual else dgemv(1.0, X.T, y, trans=1) / n
+    fits = []
+    for index, (value, penalty) in enumerate(zip(rhos, penalties)):
+        work = gram if index == len(rhos) - 1 else copy
+        if work is copy:
+            np.copyto(copy, gram)
+        work[diagonal] += penalty
+        try:
+            factor = cho_factor(work, lower=False, overwrite_a=True, check_finite=False)
+        except LinAlgError as exc:
+            error = DomainError(
+                f"Cholesky factorization failed ({exc}): penalty {name} = "
+                f"{penalty:.3g} against the Gram's rounding floor max diagonal * eps "
+                f"= {floor:.3g}"
+            )
+            error.penalty_index = index
+            raise error from exc
+        coef = cho_solve(factor, rhs, check_finite=False)
+        beta_hat = dgemv(1.0, X.T, coef, trans=1) if dual else coef
+        residual = dgemv(1.0, X.T, beta_hat) - y
+        fits.append(
+            RidgeFit(
+                beta_hat=beta_hat,
+                rho=value,
+                train_mse=float(np.mean(residual**2)),
+                test_mse_analytic=analytic_test_mse(beta_hat, data, data.sigma_sq),
+                sq_norm=float(beta_hat @ beta_hat),
+            )
+        )
+    return fits if np.ndim(rho) else fits[0]

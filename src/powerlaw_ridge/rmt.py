@@ -120,6 +120,7 @@ def scaled_gram_eigenvalues(
     X = rng.standard_normal((p, n))
     X *= np.sqrt(lam)[:, None]
     gram = X.T @ X
+    del X  # freed before eigvalsh copies the Gram
     gram /= n
     return float(n) ** alpha * np.linalg.eigvalsh(gram)
 

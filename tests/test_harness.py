@@ -6,10 +6,12 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor
 
 import powerlaw_ridge
 import powerlaw_ridge.cli as cli
 import powerlaw_ridge.harness as harness
+import powerlaw_ridge.regression as regression
 from powerlaw_ridge.cli import main as cli_main
 from powerlaw_ridge.eigenlearning import AsymptoticRegime, asymptotic_errors
 from powerlaw_ridge.errors import ConfigError, SweepError
@@ -169,6 +171,30 @@ class TestTradeoffSweep:
             run_tradeoff_sweep(tiny_tau_config(), TINY_N)
 
     def test_failed_fit_names_its_grid_point(self, monkeypatch):
+        # one fit_ridge call fits the whole tau grid of a trial; its second
+        # factorization is the second grid point's
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise LinAlgError("synthetic failure")
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "cho_factor", fail_second)
+        with pytest.raises(SweepError, match="sweep value 0.5, trial 0") as caught:
+            run_tradeoff_sweep(tiny_tau_config(), TINY_N)
+        assert (caught.value.sweep_value, caught.value.trial) == (0.5, 0)
+        assert "Cholesky factorization failed (synthetic failure)" in str(caught.value)
+
+    def test_wrong_kind_rejected(self, no_solve_or_draw):
+        with pytest.raises(ConfigError, match="tau grid values"):
+            run_tradeoff_sweep(tiny_n_config(), TINY_N)
+
+
+class TestNormGrowthSweep:
+    def test_failed_fit_names_its_grid_point(self, monkeypatch):
+        # each sample count is fitted in a call of its own
         calls = []
 
         def fail_second(data, rho):
@@ -178,16 +204,9 @@ class TestTradeoffSweep:
             return fit_ridge(data, rho)
 
         monkeypatch.setattr(harness, "fit_ridge", fail_second)
-        with pytest.raises(SweepError, match="sweep value 0.5, trial 0") as caught:
-            run_tradeoff_sweep(tiny_tau_config(), TINY_N)
-        assert (caught.value.sweep_value, caught.value.trial) == (0.5, 0)
+        with pytest.raises(SweepError, match="sweep value 96.0, trial 0"):
+            run_norm_growth_sweep(tiny_n_config(), TINY_TAU)
 
-    def test_wrong_kind_rejected(self, no_solve_or_draw):
-        with pytest.raises(ConfigError, match="tau grid values"):
-            run_tradeoff_sweep(tiny_n_config(), TINY_N)
-
-
-class TestNormGrowthSweep:
     def test_regularizer_factor_fixed_across_n(self):
         result, fit = run_norm_growth_sweep(tiny_n_config(), TINY_TAU)
         rs = {row.r for row in result.rows}
@@ -410,6 +429,8 @@ class TestCli:
             ["tradeoff", "--empirical-test-n", "50"],
             ["normgrowth", "--n-grid", "1:inf:3"],
             ["tradeoff", "--tau-grid", "0.1:nan:3"],
+            ["normgrowth", "--n-grid", "-inf:5:3:lin"],
+            ["tradeoff", "--tau-grid", "-0.1:0.5:3"],
         ],
     )
     def test_usage_errors_are_config_errors(self, argv, capsys, recwarn):
@@ -418,6 +439,17 @@ class TestCli:
         assert cli_main(argv) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["normgrowth", "--n-grid", "-inf:5:3:lin"], "grid ends must be finite"),
+            (["tradeoff", "--tau-grid", "-0.1:0.5:3"], "tau grid values must lie in"),
+        ],
+    )
+    def test_grid_value_may_start_with_a_minus(self, argv, message, capsys):
+        assert cli_main(argv) == 1
+        assert message in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

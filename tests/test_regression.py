@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+import powerlaw_ridge.regression as regression
 from powerlaw_ridge.eigenlearning import AsymptoticRegime, select_regularizer
 from powerlaw_ridge.errors import DomainError
 from powerlaw_ridge.regression import (
@@ -14,6 +15,7 @@ from powerlaw_ridge.regression import (
     analytic_test_mse,
     fit_ridge,
     generate,
+    gram_matrix,
     nested,
 )
 
@@ -106,21 +108,57 @@ class TestNested:
 
 class TestFitRidge:
     @pytest.mark.parametrize("shape", [(30, 70), (70, 30)], ids=["dual", "primal"])
-    def test_cached_gram_gives_identical_fits(self, shape):
+    def test_grid_equals_single_penalty_fits(self, shape):
+        # the first two penalties factor the reused copy of the Gram, the
+        # last the Gram itself, in place
         n, p = shape
         model = DataModel(n=n, p=p, alpha=1.75, sigma_sq=1.0, seed=19)
+        rhos = [1e-3, 0.7, 1e-3]
         data = generate(model)
-        first = fit_ridge(data, 1e-3)
-        fit_ridge(data, 0.7)  # a fit at another penalty must not disturb the Gram
-        again = fit_ridge(data, 1e-3)
-        fresh = fit_ridge(generate(model), 1e-3)
-        for fit in (again, fresh):
-            assert np.array_equal(fit.beta_hat, first.beta_hat)
-            assert fit.train_mse == first.train_mse
-            assert fit.test_mse_analytic == first.test_mse_analytic
-            assert fit.sq_norm == first.sq_norm
-        assert data.gram.shape == (min(n, p), min(n, p))
-        assert not data.gram.flags.writeable
+        fits = fit_ridge(data, rhos)
+        again = fit_ridge(data, rhos)  # the first call must not disturb the data
+        assert len(fits) == len(again) == len(rhos)
+        for rho, fit, repeat in zip(rhos, fits, again):
+            for other in (fit_ridge(generate(model), rho), repeat):
+                assert fit.rho == other.rho == rho
+                assert np.array_equal(fit.beta_hat, other.beta_hat)
+                assert fit.train_mse == other.train_mse
+                assert fit.test_mse_analytic == other.test_mse_analytic
+                assert fit.sq_norm == other.sq_norm
+
+    @pytest.mark.parametrize(
+        "rhos", [[0.1, -1.0, 0.2], [0.1, 0.2, 0.0], [0.1, np.inf]], ids=str
+    )
+    def test_bad_penalty_in_a_grid_fails_before_any_factorization(self, monkeypatch, rhos):
+        def fail(*args, **kwargs):
+            raise AssertionError("a factorization ran before the penalty checks")
+
+        monkeypatch.setattr(regression, "cho_factor", fail)
+        with pytest.raises(DomainError, match="must be positive|overflows"):
+            fit_ridge(small_instance(n=5, p=8), rhos)
+
+    @pytest.mark.parametrize(
+        "shape, rhos, bound",
+        [
+            ((600, 1200), 0.01, 1.5),
+            ((1200, 600), 0.01, 1.5),
+            ((600, 1200), [0.01, 0.1, 1.0], 2.5),
+            ((1200, 600), [0.01, 0.1, 1.0], 2.5),
+        ],
+        ids=["dual", "primal", "dual-grid", "primal-grid"],
+    )
+    def test_peak_memory_is_one_gram_plus_one_copy_for_a_grid(self, shape, rhos, bound):
+        # a single penalty factors the Gram in place; a grid adds one copy
+        n, p = shape
+        data = generate(DataModel(n=n, p=p, alpha=1.5, sigma_sq=0.4, seed=5))
+        gram_bytes = 8 * min(n, p) ** 2
+        tracemalloc.start()
+        try:
+            fit_ridge(data, rhos)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * gram_bytes
 
     @pytest.mark.parametrize(
         "shape",
@@ -135,7 +173,7 @@ class TestFitRidge:
         data = generate(DataModel(n=n, p=p, alpha=1.5, sigma_sq=0.4, seed=29))
         X, y = data.X, data.y
         gram = X.T @ X if p > n else X @ X.T / n
-        assert np.array_equal(data.gram, gram)
+        assert np.array_equal(gram_matrix(data), gram)
         for rho in (1e-5, 0.02, 3.0):
             work = np.array(gram, order="F")
             work[np.diag_indices_from(work)] += n * rho if p > n else rho
@@ -158,7 +196,7 @@ class TestFitRidge:
         data = generate(DataModel(n=n, p=p, alpha=1.5, sigma_sq=0.4, seed=7))
         tracemalloc.start()
         try:
-            data.gram
+            gram_matrix(data)
             fit_ridge(data, 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -186,8 +224,9 @@ class TestFitRidge:
             beta_star=data.beta_star[cut[0]],
             eigenvalues=data.eigenvalues[cut[0]],
         )
-        assert np.array_equal(data.gram, data.gram.T)
-        assert data.gram.shape == (min(X.shape),) * 2
+        gram = gram_matrix(data)
+        assert np.array_equal(gram, gram.T)
+        assert gram.shape == (min(X.shape),) * 2
 
     def test_rejects_non_finite_penalty(self):
         data = small_instance(n=5, p=8)
@@ -322,7 +361,7 @@ class TestAnalyticTestMse:
 
 
 class TestSweepRho:
-    """Fits along a sweep of rho on one dataset, sharing its cached Gram."""
+    """Fits along a sweep of rho on one dataset."""
 
     def test_norm_monotone_decreasing_in_rho(self):
         data = small_instance(n=6, p=12, seed=23)
