@@ -13,8 +13,8 @@ long flag name with underscores.  Its values are read as flags placed
 before the explicit ones, so they pass the same type, choice and required
 checks, and explicit flags win; a JSON null leaves the option unset.
 
-Exit codes: 0 success, 1 configuration error (usage errors included),
-2 numerical failure, 3 I/O.
+Exit codes: 0 success, 1 configuration or domain error (usage errors
+included), 2 numerical failure (no convergence, a failed fit), 3 I/O.
 """
 
 from __future__ import annotations
@@ -87,10 +87,7 @@ _OPTIONS = {
 
 
 def _regime(args: argparse.Namespace) -> AsymptoticRegime:
-    try:
-        return AsymptoticRegime(args.alpha, args.gamma, args.sigma_sq)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return AsymptoticRegime(args.alpha, args.gamma, args.sigma_sq)
 
 
 def _export(result, args: argparse.Namespace) -> None:
@@ -137,11 +134,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     """tau -> (k, r, rho_n) query"""
-    regime = _regime(args)
-    try:
-        k, r, rho_n = select_regularizer(regime, args.tau, args.n)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    k, r, rho_n = select_regularizer(_regime(args), args.tau, args.n)
     print(f"k={k:.12g} r={r:.12g} rho_n={rho_n:.12g}")
     return 0
 
@@ -231,10 +224,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[args.command][0](args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, DomainError, SweepError) as exc:
+    except (ConvergenceError, SweepError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 1, numerical failures with 2, I/O failures with 3.
+The CLI maps these onto process exit codes: ConfigError and DomainError
+exit with 1, ConvergenceError and SweepError with 2, I/O failures with 3.
+So the one DomainError a CLI run raises from a computed value, the
+negative-eigenvalue check of SpectralMeasure.from_eigenvalues, exits with
+1 too; only a broken LAPACK reaches it.
 """
 
 from __future__ import annotations

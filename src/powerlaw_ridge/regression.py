@@ -12,16 +12,16 @@ beta = X (X^T X + n rho I)^-1 y when p > n.  Both are solved with a
 symmetric positive-definite factorization of the dataset's Gram matrix.
 One fit_ridge call takes every penalty fitted on a dataset (a harness tau
 grid) and computes the Gram, and checks it and the data finite, once;
-each penalty but the last factors one copy of it, and the last the Gram
-itself, in place, so a one-penalty fit holds one Gram-sized matrix.
+every penalty factors that Gram in place, so a fit holds one Gram-sized
+matrix for any number of penalties.
 
-Every BLAS call on this path (the Gram, the labels and the fit's
-matrix-vector products) goes through scipy.linalg.blas, the same BLAS
-library that cho_factor and cho_solve call.  numpy and scipy may each
-bundle their own OpenBLAS with its own thread pool, and a pool's workers
-spin for a while after each threaded call; alternating between the two
-libraries leaves each call sharing the cores with the other pool's
-spinning workers.
+Every Gram in the package comes from symmetric_product, and every BLAS
+call on this path (the Gram, the labels and the fit's matrix-vector
+products) goes through scipy.linalg.blas, the same BLAS library that
+cho_factor and cho_solve call.  numpy and scipy may each bundle their own
+OpenBLAS with its own thread pool, and a pool's workers spin for a while
+after each threaded call; alternating between the two libraries leaves
+each call sharing the cores with the other pool's spinning workers.
 
 Draws are prefix-consistent: the design of a smaller (n, p) with the same
 seed is the leading block of a larger one, so :func:`nested` can cut a
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-# the fit path's products, not numpy's @, so that they run in the BLAS (and
+# the package's products, not numpy's @, so that they run in the BLAS (and
 # thread pool) of cho_factor and cho_solve; see the module docstring.  Each
 # passes X.T, which is Fortran-ordered for the C-ordered X the package
 # draws, so f2py hands BLAS the data without a copy.
@@ -43,12 +43,8 @@ from scipy.linalg.blas import dgemv, dsyrk
 
 from .errors import DomainError
 
-# Definition of the estimator requires rho > 0; values this small only guard
-# against accidental underflow to zero.
-_RHO_FLOOR = 1e-300
-
 # generate draws this many sample columns into a row-major buffer before
-# writing them into X, and gram_matrix mirrors this many rows of the
+# writing them into X, and _mirror_upper copies this many rows of a
 # Gram's triangle at a time; 128 rows of p = 2000 are 2 MB.
 _BLOCK_COLUMNS = 128
 
@@ -90,24 +86,31 @@ class Dataset:
     sigma_sq: float = 0.0
 
 
+def symmetric_product(X: np.ndarray, samples: bool) -> np.ndarray:
+    """X^T X (samples=True) or X X^T of the C-ordered X, as a new C-ordered,
+    exactly symmetric matrix.
+
+    syrk's Fortran-ordered lower triangle is the C-ordered upper one that
+    numpy's X.T @ X computes, bit for bit, and it is mirrored into the
+    lower one; syrk's upper triangle differs in the last bits at some shapes.
+    """
+    gram = dsyrk(1.0, X.T, trans=0 if samples else 1, lower=1).T
+    _mirror_upper(gram)
+    return gram
+
+
 def gram_matrix(data: Dataset) -> np.ndarray:
     """The matrix fit_ridge factors, before the penalty: a new C-ordered
     X^T X (n x n) when p > n, X X^T / n (p x p) otherwise.
 
     This is a fit's one finiteness check: non-finite entries in X or y, or
-    a Gram that overflows, raise DomainError.  BLAS syrk fills the lower
-    triangle, which is mirrored into the upper one, so the Gram is exactly
-    symmetric.
+    a Gram that overflows, raise DomainError.
     """
     X = np.ascontiguousarray(data.X)
     if not (np.isfinite(X).all() and np.isfinite(data.y).all()):
         raise DomainError("data contains non-finite entries")
     p, n = X.shape
-    # syrk's Fortran-ordered lower triangle is the C-ordered upper one that
-    # numpy's X.T @ X computes, bit for bit; the upper triangle differs from
-    # it in the last bits at some shapes
-    gram = dsyrk(1.0, X.T, trans=0 if p > n else 1, lower=1).T
-    _mirror_upper(gram)
+    gram = symmetric_product(X, samples=p > n)
     if p <= n:
         gram /= n
     if not np.isfinite(gram).all():
@@ -217,41 +220,39 @@ def fit_ridge(data: Dataset, rho: float | list[float]) -> RidgeFit | list[RidgeF
     """Closed-form ridge fit; dual (Woodbury) form when p > n, primal else.
 
     One penalty returns one fit, and a sequence of penalties one fit per
-    penalty, in order, all from one Gram (gram_matrix): each penalty but the
-    last factors a reused copy of it, and the last the Gram itself, in
-    place.  A penalty that is not positive, or that overflows the Gram's
-    diagonal, raises DomainError before any factorization; one too small for
-    the Cholesky factorization to succeed in floating point raises
+    penalty, in order, all from one Gram (gram_matrix), which each penalty
+    factors in place.  A penalty that is not positive, or that overflows the
+    Gram's diagonal, raises DomainError before any factorization; one too
+    small for the Cholesky factorization to succeed in floating point raises
     DomainError with the penalty's position as ``penalty_index``.
     """
     rhos = [rho] if np.ndim(rho) == 0 else list(rho)
     for value in rhos:
         if not value > 0.0:
             raise DomainError(f"rho must be positive, got {value}")
-    rhos = [max(value, _RHO_FLOOR) for value in rhos]
     X, y = data.X, data.y
     p, n = X.shape
     dual = p > n
     name = "n*rho" if dual else "rho"
     # the Gram is exactly symmetric, so its transpose is the Fortran-ordered
-    # matrix LAPACK wants; read the floor before the diagonal is overwritten
+    # matrix LAPACK wants; upper Cholesky overwrites only the C-ordered lower
+    # triangle and the diagonal, which each later penalty restores
     gram = gram_matrix(data).T
     diagonal = np.diag_indices_from(gram)
-    floor = float(np.max(gram[diagonal])) * np.finfo(float).eps
+    diag = gram[diagonal]
+    floor = float(np.max(diag)) * np.finfo(float).eps
     penalties = [n * value if dual else value for value in rhos]
     for penalty in penalties:
-        if not np.isfinite(gram[diagonal] + penalty).all():
+        if not np.isfinite(diag + penalty).all():
             raise DomainError(f"penalty {name} = {penalty:.3g} overflows the Gram diagonal")
-    copy = np.empty_like(gram) if len(rhos) > 1 else None
     rhs = y if dual else dgemv(1.0, X.T, y, trans=1) / n
     fits = []
     for index, (value, penalty) in enumerate(zip(rhos, penalties)):
-        work = gram if index == len(rhos) - 1 else copy
-        if work is copy:
-            np.copyto(copy, gram)
-        work[diagonal] += penalty
+        if index:
+            _mirror_upper(gram.T)
+        gram[diagonal] = diag + penalty
         try:
-            factor = cho_factor(work, lower=False, overwrite_a=True, check_finite=False)
+            factor = cho_factor(gram, lower=False, overwrite_a=True, check_finite=False)
         except LinAlgError as exc:
             error = DomainError(
                 f"Cholesky factorization failed ({exc}): penalty {name} = "

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvalsh
 
 from .errors import DomainError
-from .regression import feature_count, power_law_spectrum
+from .regression import feature_count, power_law_spectrum, symmetric_product
 
 # eigenvalue noise below this fraction of the largest atom is clamped to zero
 _CLAMP_REL = 1e-12
@@ -119,10 +120,12 @@ def scaled_gram_eigenvalues(
     lam = power_law_spectrum(p, alpha)
     X = rng.standard_normal((p, n))
     X *= np.sqrt(lam)[:, None]
-    gram = X.T @ X
-    del X  # freed before eigvalsh copies the Gram
+    gram = symmetric_product(X, samples=True)
     gram /= n
-    return float(n) ** alpha * np.linalg.eigvalsh(gram)
+    # dsyevd, as in numpy's eigvalsh (scipy's default, dsyevr, sums differently),
+    # in place on the transpose, which is the Fortran-ordered matrix LAPACK wants
+    values = eigvalsh(gram.T, driver="evd", overwrite_a=True, check_finite=False)
+    return float(n) ** alpha * values
 
 
 def positivity_check(

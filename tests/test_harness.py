@@ -451,6 +451,27 @@ class TestCli:
         assert cli_main(argv) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["diagnose", "--trials", "0"], 1),
+            (["tradeoff", "--gamma", "3", "--n", "50"], 1),
+            # tau below the train error reachable at gamma = 3
+            (["normgrowth", "--gamma", "3", "--tau", "0.05"], 1),
+            # a fit that fails on a drawn design is a numerical failure
+            (
+                ["tradeoff", "--alpha", "6", "--gamma", "0.5", "--n", "800"]
+                + ["--tau-grid", "0.2:0.4:2", "--trials", "1"],
+                2,
+            ),
+        ],
+        ids=["diagnose-trials", "tradeoff-tau", "normgrowth-tau", "failed-fit"],
+    )
+    def test_domain_errors_exit_one_and_failed_fits_two(self, argv, code, capsys):
+        assert cli_main(argv) == code
+        prefix = "config error: " if code == 1 else "numerical failure: "
+        assert capsys.readouterr().err.startswith(prefix)
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["solve", "--help"])

@@ -109,8 +109,8 @@ class TestNested:
 class TestFitRidge:
     @pytest.mark.parametrize("shape", [(30, 70), (70, 30)], ids=["dual", "primal"])
     def test_grid_equals_single_penalty_fits(self, shape):
-        # the first two penalties factor the reused copy of the Gram, the
-        # last the Gram itself, in place
+        # every penalty factors the one Gram in place; the repeated 1e-3
+        # after 0.7 checks that the triangle and the diagonal are restored
         n, p = shape
         model = DataModel(n=n, p=p, alpha=1.75, sigma_sq=1.0, seed=19)
         rhos = [1e-3, 0.7, 1e-3]
@@ -138,17 +138,20 @@ class TestFitRidge:
             fit_ridge(small_instance(n=5, p=8), rhos)
 
     @pytest.mark.parametrize(
-        "shape, rhos, bound",
+        "shape, rhos",
         [
-            ((600, 1200), 0.01, 1.5),
-            ((1200, 600), 0.01, 1.5),
-            ((600, 1200), [0.01, 0.1, 1.0], 2.5),
-            ((1200, 600), [0.01, 0.1, 1.0], 2.5),
+            ((600, 1200), 0.01),
+            ((1200, 600), 0.01),
+            ((600, 1200), [0.01, 0.1, 1.0]),
+            ((1200, 600), [0.01, 0.1, 1.0]),
+            ((600, 1200), list(np.geomspace(1e-3, 1.0, 8))),
+            ((1200, 600), list(np.geomspace(1e-3, 1.0, 8))),
         ],
-        ids=["dual", "primal", "dual-grid", "primal-grid"],
+        ids=["dual", "primal", "dual-grid", "primal-grid", "dual-grid8", "primal-grid8"],
     )
-    def test_peak_memory_is_one_gram_plus_one_copy_for_a_grid(self, shape, rhos, bound):
-        # a single penalty factors the Gram in place; a grid adds one copy
+    def test_peak_memory_is_one_gram_for_any_grid(self, shape, rhos):
+        # every penalty factors the one Gram in place; a copy of it would
+        # take the peak past twice its bytes
         n, p = shape
         data = generate(DataModel(n=n, p=p, alpha=1.5, sigma_sq=0.4, seed=5))
         gram_bytes = 8 * min(n, p) ** 2
@@ -158,7 +161,17 @@ class TestFitRidge:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < bound * gram_bytes
+        assert peak < 1.5 * gram_bytes
+
+    @pytest.mark.parametrize("shape", [(30, 70), (70, 30)], ids=["dual", "primal"])
+    def test_tiny_penalty_is_reported_as_given(self, shape):
+        # both penalties lie far below one ulp of the Gram's diagonal, so
+        # they factor the same matrix; the fit reports the penalty asked for
+        n, p = shape
+        data = generate(DataModel(n=n, p=p, alpha=1.75, sigma_sq=1.0, seed=19))
+        tiny, small = fit_ridge(data, 1e-310), fit_ridge(data, 1e-300)
+        assert tiny.rho == 1e-310
+        assert np.array_equal(tiny.beta_hat, small.beta_hat)
 
     @pytest.mark.parametrize(
         "shape",

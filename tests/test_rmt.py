@@ -235,3 +235,17 @@ class TestSpectralMeasureClamping:
         reference = float(n) ** 1.75 * np.linalg.eigvalsh(X.T @ X / n)
         values = scaled_gram_eigenvalues(n, p, 1.75, np.random.default_rng(4))
         assert np.array_equal(values, reference)
+
+    def test_gram_sampler_calls_no_numpy_eigvalsh(self, monkeypatch):
+        # the sampler decomposes in scipy's LAPACK, the fits' library, and
+        # still matches numpy's eigvalsh bit for bit
+        lam = np.arange(1, 601, dtype=float) ** -1.75
+        X = np.sqrt(lam)[:, None] * np.random.default_rng(6).standard_normal((600, 300))
+        reference = 300.0**1.75 * np.linalg.eigvalsh(X.T @ X / 300)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigvalsh was called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        values = scaled_gram_eigenvalues(300, 600, 1.75, np.random.default_rng(6))
+        assert np.array_equal(values, reference)
