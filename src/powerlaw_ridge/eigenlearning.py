@@ -7,7 +7,8 @@ against the power-law spectral density,
     J(k) = integral_0^(1/g) dx / (1 + k x^alpha)^2,
 
 with g the asymptotic sample-to-feature ratio.  Both reduce to the Gauss
-hypergeometric family implemented in :mod:`powerlaw_ridge.specfun`:
+hypergeometric family that :mod:`powerlaw_ridge.specfun` checks and
+scipy.special.hyp2f1 evaluates:
 
     I(k) = F(1, 1/alpha; 1 + 1/alpha; -k g^-alpha) / g,
     J(k) = F(2, 1/alpha; 1 + 1/alpha; -k g^-alpha) / g,
@@ -29,6 +30,10 @@ The finite-n counterpart solves the effective-regularizer equation
 
 for kappa and propagates it through the overfitting coefficient
 n * dkappa/ddelta to finite-n train/test error predictions.
+
+k_crit, k_of_r and kappa are Newton roots converged to a few ulps in k; the
+first two agree with 40-digit roots to 2e-11 relative down to alpha = 1.0001.
+select_regularizer has no derivative, so it bisects to |f| <= 1e-11 sigma^2.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .specfun import HypergeometricArgs, hyp2f1
 
-_RESIDUAL_TOL = 1e-13
-_MAX_BISECTIONS = 200
+_MAX_ITERATIONS = 200
+_EPS = float(np.finfo(float).eps)
 # check_train_error_monotone's grid: this many k over (k_crit, k_crit + span)
 _MONOTONE_NUM = 64
 _MONOTONE_SPAN = 1e6
@@ -160,7 +165,7 @@ def _solve_k_crit(regime: AsymptoticRegime) -> float:
     # the lower edge is the last hi that failed: the iterates, and so the
     # last bits of k_crit, depend on it
     lo = 0.0 if hi == 1.0 else hi / 4.0
-    return _bisect_newton(f, di_dk, lo, hi, f_tol=1e-14, f_hi=f_hi)
+    return _bisect_newton(f, di_dk, lo, hi, f_hi=f_hi)
 
 
 def k_of_r(regime: AsymptoticRegime, r: float) -> float:
@@ -178,14 +183,8 @@ def k_of_r(regime: AsymptoticRegime, r: float) -> float:
         return r - r_of_k(regime, k)
 
     hi, f_hi = _grow_bracket(f, max(10.0 * r, 2.0 * lo, 1.0), f"R(k) = {r}")
-    return _bisect_newton(
-        f,
-        lambda k: integral_j(regime, k) - 1.0,  # -dR/dk = J(k) - 1
-        lo,
-        hi,
-        f_tol=_RESIDUAL_TOL * max(1.0, r),
-        f_hi=f_hi,
-    )
+    # f' = -dR/dk = J(k) - 1
+    return _bisect_newton(f, lambda k: integral_j(regime, k) - 1.0, lo, hi, f_hi=f_hi)
 
 
 def asymptotic_errors(regime: AsymptoticRegime, k: float) -> EigenlearningPoint:
@@ -346,7 +345,7 @@ def _solve_kappa(lam: np.ndarray, delta: float, n: int) -> float:
     def g_prime(kappa: float) -> float:
         return delta / kappa**2 + float(np.sum(lam / (lam + kappa) ** 2))
 
-    return _bisect_newton(g, g_prime, lo, hi, f_tol=1e-12 * n)
+    return _bisect_newton(g, g_prime, lo, hi)
 
 
 def _grow_bracket(f, hi: float, what: str) -> tuple[float, float]:
@@ -361,17 +360,16 @@ def _grow_bracket(f, hi: float, what: str) -> tuple[float, float]:
 
 
 def _bisect_newton(
-    f, f_prime, lo: float, hi: float, f_tol: float, f_lo=None, f_hi=None
+    f, f_prime, lo: float, hi: float, f_tol: float = 0.0, f_lo=None, f_hi=None
 ) -> float:
     """Safeguarded root finder: Newton steps clipped to a shrinking bracket.
 
-    Assumes f(lo) <= 0 <= f(hi) or the reverse; keeps bisecting whenever the
-    Newton step leaves the bracket.  Once the residual meets f_tol a few
-    pure Newton steps polish the root in x, which matters where f' is small
-    and a residual criterion alone would under-resolve the root.  With
-    f_prime None it bisects plainly and returns the midpoint unpolished.
-    A caller that already evaluated f at an edge passes the value as f_lo
-    or f_hi, and f is not evaluated there again.
+    Assumes f(lo) <= 0 <= f(hi) or the reverse.  Takes the Newton step when
+    f_prime is given and the step stays inside the bracket, else bisects.
+    Stops when |f| <= f_tol (default 0: converge in x), or when the step or
+    the bracket is at most 4 ulps wide.  A caller that already evaluated f
+    at an edge passes the value as f_lo or f_hi, and f is not evaluated
+    there again.
     """
     if f_lo is None:
         f_lo = f(lo)
@@ -388,36 +386,20 @@ def _bisect_newton(
     increasing = f_hi > 0.0
 
     x = 0.5 * (lo + hi)
-    for _ in range(_MAX_BISECTIONS):
+    for _ in range(_MAX_ITERATIONS):
         fx = f(x)
         if abs(fx) <= f_tol:
-            return _newton_polish(f, f_prime, x, lo, hi)
+            return x
         if (fx > 0.0) == increasing:
             hi = x
         else:
             lo = x
+        x_new = 0.5 * (lo + hi)
         d = 0.0 if f_prime is None else f_prime(x)
-        if d != 0.0 and math.isfinite(d):
-            step = x - fx / d
-            x = step if lo < step < hi else 0.5 * (lo + hi)
-        else:
-            x = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)):
-            return _newton_polish(f, f_prime, x, lo, hi)
-    raise ConvergenceError("root finder exhausted its iteration budget")
-
-
-def _newton_polish(f, f_prime, x: float, lo: float, hi: float) -> float:
-    if f_prime is None:
-        return x
-    eps = float(np.finfo(float).eps)
-    for _ in range(8):
-        d = f_prime(x)
-        if d == 0.0 or not math.isfinite(d):
-            return x
-        step = f(x) / d
-        x_new = min(max(x - step, lo), hi)
-        if abs(x_new - x) <= 4.0 * eps * max(abs(x), 1e-300):
+        if d != 0.0 and math.isfinite(d) and lo < x - fx / d < hi:
+            x_new = x - fx / d
+        tol = 4.0 * _EPS * max(abs(lo), abs(hi))
+        if hi - lo <= tol or abs(x_new - x) <= tol:
             return x_new
         x = x_new
-    return x
+    raise ConvergenceError("root finder exhausted its iteration budget")

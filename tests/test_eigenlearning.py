@@ -12,6 +12,7 @@ defining integrals.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -182,6 +183,30 @@ class TestKOfR:
             assert k_of_r(regime, r_of_k(regime, k)) == pytest.approx(k, rel=1e-9)
 
 
+class TestRootsAgainstMpmath:
+    @pytest.mark.parametrize("alpha", [1.0001, 1.01, 1.25, 1.75, 2.5, 4.0])
+    @pytest.mark.parametrize("gamma_star", [0.25, 0.5, 2.0 / 3.0])
+    def test_k_crit_and_k_of_r_near_it(self, alpha, gamma_star):
+        # roots of I(k) = 1 and R(k) = 1e-6 at 40 digits; R' is smallest
+        # just above k_crit, and alpha near 1 is where hyp2f1 loses digits
+        regime = AsymptoticRegime(alpha=alpha, gamma_star=gamma_star)
+        kc = k_crit(regime)
+        k_small_r = k_of_r(regime, 1e-6)
+        with mpmath.workdps(40):
+            b = 1 / mpmath.mpf(alpha)
+            g = mpmath.mpf(gamma_star)
+
+            def i_of_k(k):
+                return mpmath.hyp2f1(1, b, 1 + b, -k * g ** -mpmath.mpf(alpha)) / g
+
+            kc_ref = mpmath.findroot(lambda k: i_of_k(k) - 1, kc)
+            k_small_r_ref = mpmath.findroot(
+                lambda k: k * (1 - i_of_k(k)) - mpmath.mpf(1e-6), k_small_r
+            )
+        assert abs(kc - kc_ref) <= 2e-11 * kc_ref
+        assert abs(k_small_r - k_small_r_ref) <= 2e-11 * k_small_r_ref
+
+
 class TestAsymptoticErrors:
     def test_arctan_point(self):
         point = asymptotic_errors(REGIME_SQUARE, 1.0)
@@ -285,7 +310,8 @@ class TestSelectRegularizer:
     def test_edge_values_are_not_evaluated_twice(self, monkeypatch):
         # the bracket search hands its edge values to the root finder, so a
         # solve evaluates E_train at each edge once; the result is pinned to
-        # the last bit
+        # the last bit, and the pins stay within 1e-15 of those the
+        # hand-rolled hypergeometric series gave
         regime = AsymptoticRegime(alpha=1.75, gamma_star=0.5, sigma_sq=1.0)
         regime.k_crit  # cached; its own solve is not counted
         calls = []
@@ -295,11 +321,10 @@ class TestSelectRegularizer:
         )
         k, r, rho_n = select_regularizer(regime, 0.3, 1000)
         assert len(calls) <= 77
-        assert (k, r, rho_n) == (
-            5.8640740473355475,
-            2.7153929802269383,
-            1.526977686913388e-05,
-        )
+        pinned = (5.864074047335549, 2.715392980226939, 1.5269776869133885e-05)
+        assert (k, r, rho_n) == pinned
+        series = (5.8640740473355475, 2.7153929802269383, 1.526977686913388e-05)
+        assert all(abs(p - q) <= 1e-15 * q for p, q in zip(pinned, series))
 
     def test_limit_directions(self):
         # tau near sigma_sq pushes k (and rho_n) up; tau near 0 pulls k down

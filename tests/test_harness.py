@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -623,3 +626,18 @@ def test_public_names_are_pinned():
         "stieltjes", "gram_to_covariance_check", "empirical_test_mse",
     ):
         assert not hasattr(powerlaw_ridge, gone)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize adds about 0.2 s to a 0.5 s package import,
+    # and every CLI run pays the import
+    src = os.path.dirname(os.path.dirname(powerlaw_ridge.__file__))
+    code = "import sys, powerlaw_ridge.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

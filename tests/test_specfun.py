@@ -6,12 +6,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from oracles import QuadratureSpec, adaptive_gauss_legendre, hyp2f1_oracle
 from powerlaw_ridge.errors import ConvergenceError, DomainError
 from powerlaw_ridge.specfun import HypergeometricArgs, hyp2f1
+
+
+# (upper alpha edge, relative error bound) per band, in increasing alpha
+_MPMATH_BOUNDS = ((1.001, 2e-11), (1.01, 2e-12), (1.1, 2e-13), (math.inf, 1e-13))
 
 
 def args_for(a, alpha, z):
@@ -37,7 +40,7 @@ class TestHyp2f1:
         )
 
     def test_arctan_family_large_argument(self):
-        # arctan(sqrt(K))/sqrt(K) across all three evaluation branches
+        # arctan(sqrt(K))/sqrt(K) from small to huge arguments
         for big_k in (0.25, 1.0, 3.0, 1e3, 1e8):
             expected = math.atan(math.sqrt(big_k)) / math.sqrt(big_k)
             assert hyp2f1(args_for(1.0, 2.0, -big_k)) == pytest.approx(
@@ -51,28 +54,25 @@ class TestHyp2f1:
         args = args_for(a, alpha, z)
         assert hyp2f1(args) == pytest.approx(hyp2f1_oracle(args), rel=1e-10)
 
-    @pytest.mark.parametrize("a", [1.0, 2.0])
-    @pytest.mark.parametrize("alpha", [1.25, 1.75, 2.5])
-    @pytest.mark.parametrize("z", [-0.3, -0.7, -5.0, -4e4])
-    def test_agrees_with_scipy(self, a, alpha, z):
-        args = args_for(a, alpha, z)
-        assert hyp2f1(args) == pytest.approx(
-            scipy.special.hyp2f1(args.a, args.b, args.c, args.z), rel=1e-12
-        )
-
     @settings(deadline=None)
     @given(
         a=st.sampled_from([1.0, 2.0]),
-        alpha=st.floats(min_value=1.1, max_value=100.0),
+        log_gap=st.floats(min_value=-4.0, max_value=math.log10(99.0)),
         z=st.floats(min_value=-1e12, max_value=0.0),
     )
-    def test_agrees_with_mpmath(self, a, alpha, z):
-        # the documented accuracy from alpha = 1.1 on, against 40 digits
+    def test_agrees_with_mpmath(self, a, log_gap, z):
+        # alpha = 1 + 10^log_gap covers [1.0001, 100] evenly in log(alpha - 1);
+        # the bounds sit 2-3x above the worst errors measured against 40
+        # digits, which grow like eps / (alpha - 1) as alpha -> 1: 7.9e-12 on
+        # [1.0001, 1.001), 8.0e-13 on [1.001, 1.01), 6.6e-14 on [1.01, 1.1)
+        # and 8.3e-15 from 1.1 on
+        alpha = 1.0 + 10.0**log_gap
+        bound = next(tol for edge, tol in _MPMATH_BOUNDS if alpha < edge)
         args = args_for(a, alpha, z)
         with mpmath.workdps(40):
             b = mpmath.mpf(args.b)
             expected = mpmath.hyp2f1(a, b, 1 + b, z)
-        assert abs(hyp2f1(args) - expected) <= 1e-13 * abs(expected)
+        assert abs(hyp2f1(args) - expected) <= bound * abs(expected)
 
     def test_strictly_decreasing_in_magnitude(self):
         for a in (1.0, 2.0):
