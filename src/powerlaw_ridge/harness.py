@@ -14,8 +14,9 @@ and the value held fixed:
 Trial t is seeded as base_seed + t at every grid point, so the grid points
 are common random numbers: each trial draws one dataset at the largest
 sample count and serves the whole grid from it.  A tau grid fits every
-target on that one dataset in one :func:`fit_ridge` call; an n grid cuts
-each smaller design out of it with :func:`nested`.  A row's data never
+target on that one dataset in one :func:`fit_ridge` call; an n grid is
+fitted largest first, each smaller design cut from the previous design
+with :func:`nested`.  A row's data never
 depends on how many trials run beside it, and output is byte-identical
 across re-runs.  A failed trial aborts the sweep; silent NaN rows would
 poison the quantile ribbons.
@@ -189,11 +190,10 @@ def _run_sweep(config: SweepConfig, points: list[_GridPoint]) -> SweepResult:
 def _run_trial(
     config: SweepConfig, points: list[_GridPoint], trial: int
 ) -> list[TrialRow]:
-    """One draw at the grid's largest n, then one fit_ridge call per n.
-
-    The draw lives only as long as this call, so a trial's dataset is
-    released before the next trial draws its own.
-    """
+    """One draw at the grid's largest n, then one fit_ridge call per n,
+    largest first; each smaller design is cut from the previous design,
+    which is dropped before the cut is fitted, so a trial holds one design
+    and its Gram."""
     regime = config.regime
     seed = trial_seed(config.base_seed, trial)
 
@@ -206,17 +206,15 @@ def _run_trial(
             seed=seed,
         )
 
-    group = points[:1]  # a failed draw is reported at the first grid value
+    groups = [list(same_n) for _, same_n in groupby(points, key=lambda point: point.n)]
+    rows: list[TrialRow] = []
+    data = None
     try:
-        full_model = model(max(pt.n for pt in points))
-        full = generate(full_model)
-        rows = []
-        for n, same_n in groupby(points, key=lambda point: point.n):
-            group = list(same_n)
-            data = full if n == full_model.n else nested(full, model(n))
+        for group in reversed(groups):  # a failed draw names its n's first value
+            model_n = model(group[0].n)
+            data = generate(model_n) if data is None else nested(data, model_n)
             fits = fit_ridge(data, [point.rho_n for point in group])
-            del data  # a nested design is freed before the next one is cut
-            rows.extend(
+            rows[:0] = (  # largest n first, so prepending keeps grid order
                 TrialRow(
                     sweep_value=point.sweep_value,
                     trial=trial,

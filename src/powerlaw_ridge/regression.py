@@ -15,17 +15,17 @@ grid) and computes the Gram, and checks it and the data finite, once;
 every penalty factors that Gram in place, so a fit holds one Gram-sized
 matrix for any number of penalties.
 
-Every Gram in the package comes from symmetric_product, and every BLAS
-call on this path (the Gram, the labels and the fit's matrix-vector
-products) goes through scipy.linalg.blas, the same BLAS library that
-cho_factor and cho_solve call.  numpy and scipy may each bundle their own
-OpenBLAS with its own thread pool, and a pool's workers spin for a while
-after each threaded call; alternating between the two libraries leaves
-each call sharing the cores with the other pool's spinning workers.
+Every BLAS call on this path (the Gram, the labels and the fit's
+matrix-vector products), and in rmt's Gram sampler, goes through
+scipy.linalg.blas, the same BLAS library that cho_factor and cho_solve
+call.  numpy and scipy may each bundle their own OpenBLAS with its own
+thread pool, and a pool's workers spin for a while after each threaded
+call; alternating between the two libraries leaves each call sharing the
+cores with the other pool's spinning workers.
 
 Draws are prefix-consistent: the design of a smaller (n, p) with the same
 seed is the leading block of a larger one, so :func:`nested` can cut a
-whole grid of sample counts out of a single draw.
+whole grid of sample counts from a single draw, each from the previous cut.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from scipy.linalg.blas import dgemv, dsyrk
 from .errors import DomainError
 
 # generate draws this many sample columns into a row-major buffer before
-# writing them into X, and _mirror_upper copies this many rows of a
-# Gram's triangle at a time; 128 rows of p = 2000 are 2 MB.
+# writing them into X, and _mirror_upper and _all_finite take this many
+# rows of a matrix at a time; 128 rows of p = 2000 are 2 MB.
 _BLOCK_COLUMNS = 128
 
 
@@ -86,48 +86,48 @@ class Dataset:
     sigma_sq: float = 0.0
 
 
-def symmetric_product(X: np.ndarray, samples: bool) -> np.ndarray:
-    """X^T X (samples=True) or X X^T of the C-ordered X, as a new C-ordered,
-    exactly symmetric matrix.
+def gram_matrix(data: Dataset) -> np.ndarray:
+    """The matrix fit_ridge factors, before the penalty: a new C-ordered,
+    exactly symmetric X^T X (n x n) when p > n, X X^T / n (p x p) otherwise.
 
     syrk's Fortran-ordered lower triangle is the C-ordered upper one that
-    numpy's X.T @ X computes, bit for bit, and it is mirrored into the
-    lower one; syrk's upper triangle differs in the last bits at some shapes.
-    """
-    gram = dsyrk(1.0, X.T, trans=0 if samples else 1, lower=1).T
-    _mirror_upper(gram)
-    return gram
-
-
-def gram_matrix(data: Dataset) -> np.ndarray:
-    """The matrix fit_ridge factors, before the penalty: a new C-ordered
-    X^T X (n x n) when p > n, X X^T / n (p x p) otherwise.
+    numpy's X.T @ X computes, bit for bit, and it is mirrored into the lower
+    one; syrk's upper triangle differs in the last bits at some shapes.
 
     This is a fit's one finiteness check: non-finite entries in X or y, or
-    a Gram that overflows, raise DomainError.
+    a Gram that overflows, raise DomainError.  Every entry of X reaches the
+    Gram's diagonal, so X is scanned only to tell the two apart.
     """
     X = np.ascontiguousarray(data.X)
-    if not (np.isfinite(X).all() and np.isfinite(data.y).all()):
+    if not np.isfinite(data.y).all():
         raise DomainError("data contains non-finite entries")
     p, n = X.shape
-    gram = symmetric_product(X, samples=p > n)
+    gram = dsyrk(1.0, X.T, trans=0 if p > n else 1, lower=1).T
+    _mirror_upper(gram)
     if p <= n:
         gram /= n
-    if not np.isfinite(gram).all():
+    if not _all_finite(gram):
+        if not _all_finite(X):
+            raise DomainError("data contains non-finite entries")
         raise DomainError("the Gram matrix of the design overflows")
     return gram
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    rows = range(0, len(a), _BLOCK_COLUMNS)
+    return all(np.isfinite(a[i : i + _BLOCK_COLUMNS]).all() for i in rows)
 
 
 def _mirror_upper(a: np.ndarray) -> None:
     """Copy the upper triangle of the C-ordered square ``a`` into its lower
     one, in place, a block of rows at a time."""
     m = len(a)
+    below = np.tri(min(_BLOCK_COLUMNS, m), k=-1, dtype=bool)  # strict lower triangle
     for i0 in range(0, m, _BLOCK_COLUMNS):
         i1 = min(i0 + _BLOCK_COLUMNS, m)
         a[i1:, i0:i1] = a[i0:i1, i1:].T
         block = a[i0:i1, i0:i1]
-        lower = np.tril_indices(i1 - i0, -1)
-        block[lower] = block.T[lower]
+        np.copyto(block, block.T, where=below[: i1 - i0, : i1 - i0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +169,11 @@ def generate(model: DataModel) -> Dataset:
 def nested(full: Dataset, model: DataModel) -> Dataset:
     """The dataset generate(model) would draw, cut out of a larger draw.
 
-    ``full`` must come from generate with the same seed and alpha and at
-    least model's n and p.  Column j's stream does not depend on n and its
-    first p normals do not depend on p, so X is the leading (p, n) block of
-    full.X; only the coefficients and labels (p + n normals) are redrawn.
+    ``full`` must come from generate or nested with the same seed and alpha,
+    and at least model's n and p, so a grid can cut each design from the
+    previous design.  Column j's stream does not depend on n and its first p
+    normals do not depend on p, so X is the leading (p, n) block of full.X;
+    only the coefficients and labels (p + n normals) are redrawn.
     """
     p_full, n_full = full.X.shape
     if model.p > p_full or model.n > n_full:

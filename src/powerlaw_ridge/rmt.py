@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh
+from scipy.linalg.blas import dsyrk
 
 from .errors import DomainError
-from .regression import feature_count, power_law_spectrum, symmetric_product
+from .regression import feature_count, power_law_spectrum
 
 # eigenvalue noise below this fraction of the largest atom is clamped to zero
 _CLAMP_REL = 1e-12
+_BLOCK_ROWS = 128  # feature rows per block of scaled_gram_eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,15 +118,21 @@ def self_consistent_residual(
 def scaled_gram_eigenvalues(
     n: int, p: int, alpha: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Eigenvalues of n^alpha * Gram for one power-law random-design draw."""
-    lam = power_law_spectrum(p, alpha)
-    X = rng.standard_normal((p, n))
-    X *= np.sqrt(lam)[:, None]
-    gram = symmetric_product(X, samples=True)
+    """Eigenvalues of n^alpha * Gram for one power-law random-design draw,
+    drawn (consuming rng as one (p, n) draw does) and added into the Gram's
+    lower triangle a block of feature rows at a time."""
+    sqrt_lam = np.sqrt(power_law_spectrum(p, alpha))
+    gram = np.zeros((n, n), order="F")
+    block = np.empty((min(_BLOCK_ROWS, p), n))
+    for i0 in range(0, p, _BLOCK_ROWS):
+        rows = block[: min(_BLOCK_ROWS, p - i0)]
+        rng.standard_normal(out=rows)
+        rows *= sqrt_lam[i0 : i0 + len(rows), None]
+        gram = dsyrk(1.0, rows.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
     gram /= n
     # dsyevd, as in numpy's eigvalsh (scipy's default, dsyevr, sums differently),
-    # in place on the transpose, which is the Fortran-ordered matrix LAPACK wants
-    values = eigvalsh(gram.T, driver="evd", overwrite_a=True, check_finite=False)
+    # in place on the lower triangle of the Fortran-ordered Gram
+    values = eigvalsh(gram, driver="evd", overwrite_a=True, check_finite=False)
     return float(n) ** alpha * values
 
 
@@ -155,10 +163,8 @@ def positivity_check(
 
     sums = np.zeros(len(r_grid))
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        measure = SpectralMeasure.from_eigenvalues(
-            scaled_gram_eigenvalues(n, p, alpha, rng)
-        )
+        values = scaled_gram_eigenvalues(n, p, alpha, np.random.default_rng([seed, trial]))
+        measure = SpectralMeasure.from_eigenvalues(values)
         for i, r in enumerate(r_grid):
             sums[i] += d_rS_dr(measure, r)
     return [(r, float(s / trials)) for r, s in zip(r_grid, sums)]

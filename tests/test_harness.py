@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,11 +198,12 @@ class TestTradeoffSweep:
 
 class TestNormGrowthSweep:
     def test_failed_fit_names_its_grid_point(self, monkeypatch):
-        # each sample count is fitted in a call of its own
+        # each sample count is fitted in a call of its own, largest first,
+        # so the second call is at the second-largest n
         calls = []
 
         def fail_second(data, rho):
-            calls.append(rho)
+            calls.append(data.X.shape[1])
             if len(calls) == 2:
                 raise RuntimeError("synthetic failure")
             return fit_ridge(data, rho)
@@ -209,6 +211,26 @@ class TestNormGrowthSweep:
         monkeypatch.setattr(harness, "fit_ridge", fail_second)
         with pytest.raises(SweepError, match="sweep value 96.0, trial 0"):
             run_norm_growth_sweep(tiny_n_config(), TINY_TAU)
+        assert calls == [192, 96]
+
+    @pytest.mark.parametrize(
+        "grid", [(300.0, 450.0, 600.0, 800.0), (600.0, 700.0, 800.0)], ids=["log", "close"]
+    )
+    def test_peak_memory_is_one_design_and_its_gram(self, grid):
+        # each design is cut from the previous one, which is dropped before
+        # the cut is fitted; a second design held beside a cut and its Gram
+        # would take the peak past the full draw's design and Gram
+        config = tiny_n_config(grid=grid, trials_per_point=1)
+        n = int(grid[-1])
+        p = feature_count(n, config.regime.gamma_star)
+        run_norm_growth_sweep(config, TINY_TAU)  # solves and imports outside the trace
+        tracemalloc.start()
+        try:
+            run_norm_growth_sweep(config, TINY_TAU)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * (p * n + n * n)
 
     def test_regularizer_factor_fixed_across_n(self):
         result, fit = run_norm_growth_sweep(tiny_n_config(), TINY_TAU)

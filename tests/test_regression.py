@@ -258,6 +258,31 @@ class TestFitRidge:
             with pytest.raises(DomainError, match="non-finite entries"):
                 fit_ridge(bad, 0.1)
 
+    @pytest.mark.parametrize("shape", [(150, 300), (300, 150)], ids=["dual", "primal"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_design_is_named_past_the_first_row_block(self, shape, value):
+        # a non-finite design entry makes the Gram non-finite, and the
+        # blockwise scan of X that follows finds it in its last block
+        n, p = shape
+        data = generate(DataModel(n=n, p=p, alpha=1.5, sigma_sq=0.4, seed=3))
+        X = data.X.copy()
+        X[p - 1, n - 1] = value
+        with pytest.raises(DomainError, match="non-finite entries"):
+            fit_ridge(replace(data, X=X), 0.1)
+
+    @pytest.mark.parametrize("shape", [(600, 1200), (1200, 600)], ids=["dual", "primal"])
+    def test_gram_check_holds_no_gram_sized_temporary(self, shape):
+        # np.isfinite over the whole Gram would add an eighth of its bytes
+        n, p = shape
+        data = generate(DataModel(n=n, p=p, alpha=1.5, sigma_sq=0.4, seed=5))
+        tracemalloc.start()
+        try:
+            gram_matrix(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * min(n, p) ** 2
+
     def test_rejects_an_overflowing_gram(self):
         data = small_instance(n=5, p=8)
         big = replace(data, X=data.X * 1e160, y=data.y * 1e160)

@@ -1,5 +1,7 @@
 """Spectral-measure operations and the random-matrix lemma identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -229,19 +231,13 @@ class TestSpectralMeasureClamping:
 
     @pytest.mark.parametrize("n, p", [(20, 40), (1000, 2000), (300, 150)])
     def test_gram_sampler_equals_reference(self, n, p):
-        # the reference scales and divides into fresh arrays
-        lam = np.arange(1, p + 1, dtype=float) ** -1.75
-        X = np.sqrt(lam)[:, None] * np.random.default_rng(4).standard_normal((p, n))
-        reference = float(n) ** 1.75 * np.linalg.eigvalsh(X.T @ X / n)
         values = scaled_gram_eigenvalues(n, p, 1.75, np.random.default_rng(4))
-        assert np.array_equal(values, reference)
+        assert np.array_equal(values, blocked_reference(n, p, 4))
 
     def test_gram_sampler_calls_no_numpy_eigvalsh(self, monkeypatch):
         # the sampler decomposes in scipy's LAPACK, the fits' library, and
         # still matches numpy's eigvalsh bit for bit
-        lam = np.arange(1, 601, dtype=float) ** -1.75
-        X = np.sqrt(lam)[:, None] * np.random.default_rng(6).standard_normal((600, 300))
-        reference = 300.0**1.75 * np.linalg.eigvalsh(X.T @ X / 300)
+        reference = blocked_reference(300, 600, 6)
 
         def fail(*args, **kwargs):
             raise AssertionError("numpy.linalg.eigvalsh was called")
@@ -249,3 +245,53 @@ class TestSpectralMeasureClamping:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         values = scaled_gram_eigenvalues(300, 600, 1.75, np.random.default_rng(6))
         assert np.array_equal(values, reference)
+
+    @pytest.mark.parametrize("n, p", [(20, 40), (1000, 2000), (300, 150), (129, 257)])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_gram_sampler_agrees_with_one_shot_gram(self, n, p, seed):
+        # oracle: eigenvalues of the one-shot X^T X, which sums the features
+        # in another order; rounding moves each atom above 1e-8 of the
+        # largest by far less than 1e-10 relative, and every atom by far
+        # less than 1e-14 of the largest
+        X = scaled_design(n, p, seed)
+        oracle = float(n) ** 1.75 * np.linalg.eigvalsh(X.T @ X / n)
+        values = scaled_gram_eigenvalues(n, p, 1.75, np.random.default_rng(seed))
+        large = oracle > 1e-8 * oracle[-1]
+        assert np.all(np.abs(values - oracle)[large] <= 1e-10 * oracle[large])
+        assert np.all(np.abs(values - oracle) <= 1e-14 * oracle[-1])
+
+    @pytest.mark.parametrize("n, p", [(20, 40), (300, 150), (129, 257)])
+    def test_gram_sampler_consumes_one_design_draw(self, n, p):
+        rng, one_draw = np.random.default_rng(8), np.random.default_rng(8)
+        scaled_gram_eigenvalues(n, p, 1.75, rng)
+        one_draw.standard_normal((p, n))
+        assert rng.bit_generator.state == one_draw.bit_generator.state
+
+    def test_gram_sampler_holds_only_the_gram_and_one_block(self):
+        # the design is never held whole: 2000 x 1000 doubles would take the
+        # peak to three times the Gram's bytes
+        n, p = 1000, 2000
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            scaled_gram_eigenvalues(n, p, 1.75, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n * n
+
+
+def scaled_design(n, p, seed):
+    lam = np.arange(1, p + 1, dtype=float) ** -1.75
+    return np.sqrt(lam)[:, None] * np.random.default_rng(seed).standard_normal((p, n))
+
+
+def blocked_reference(n, p, seed):
+    # numpy's products summed over the sampler's 128-row feature blocks, then
+    # numpy's eigvalsh, all into fresh arrays
+    X = scaled_design(n, p, seed)
+    gram = np.zeros((n, n))
+    for i0 in range(0, p, 128):
+        block = X[i0 : i0 + 128]
+        gram += block.T @ block
+    return float(n) ** 1.75 * np.linalg.eigvalsh(gram / n)
