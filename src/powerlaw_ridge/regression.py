@@ -23,9 +23,9 @@ thread pool, and a pool's workers spin for a while after each threaded
 call; alternating between the two libraries leaves each call sharing the
 cores with the other pool's spinning workers.
 
-Draws are prefix-consistent: the design of a smaller (n, p) with the same
-seed is the leading block of a larger one, so :func:`nested` can cut a
-whole grid of sample counts from a single draw, each from the previous cut.
+The design has one generator stream per block of 128 samples, drawn feature
+by feature, so a smaller (n, p) with the same seed is the leading block of a
+larger draw and :func:`nested` can cut a grid of n from one draw.
 """
 
 from __future__ import annotations
@@ -43,10 +43,12 @@ from scipy.linalg.blas import dgemv, dsyrk
 
 from .errors import DomainError
 
-# generate draws this many sample columns into a row-major buffer before
-# writing them into X, and _mirror_upper and _all_finite take this many
-# rows of a matrix at a time; 128 rows of p = 2000 are 2 MB.
+# _mirror_upper and _all_finite take this many rows of a matrix at a time,
+# and generate draws this many feature rows per tile: a tuning choice.
 _BLOCK_COLUMNS = 128
+# samples per design generator stream, part of the seed contract: changing
+# it redraws every design.
+_STREAM_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -144,25 +146,26 @@ class RidgeFit:
 def generate(model: DataModel) -> Dataset:
     """Draw one dataset, bit-reproducibly in the model seed.
 
-    Separate generator streams are derived for the coefficients, the noise,
-    and each sample column, so columns could be produced in any order (or in
-    parallel) without changing the result.  Columns are drawn as contiguous
-    rows of a small block buffer, scaled there, and each block is written
-    into the C-ordered X once, so no column is written with a stride.  X is
-    not checked here; gram_matrix checks it once per fit_ridge call.
+    Separate generator streams are derived for the coefficients, the noise
+    and each block of _STREAM_COLUMNS sample columns, which its stream fills
+    feature by feature and always at full width, so a smaller (n, p) is the
+    leading block of a larger draw.  Tiles are drawn into one small buffer
+    and written scaled into the C-ordered X, so no column is written with a
+    stride.  X is not checked here; gram_matrix checks it once per fit.
     """
     n, p = model.n, model.p
     lam = power_law_spectrum(p, model.alpha)
-    sqrt_lam = np.sqrt(lam)
-    streams = np.random.SeedSequence([model.seed, 3]).spawn(n)
+    sqrt_lam = np.sqrt(lam)[:, None]
+    streams = np.random.SeedSequence([model.seed, 3]).spawn(-(-n // _STREAM_COLUMNS))
     X = np.empty((p, n))
-    block = np.empty((min(_BLOCK_COLUMNS, n), p))
-    for j0 in range(0, n, _BLOCK_COLUMNS):
-        rows = block[: min(_BLOCK_COLUMNS, n - j0)]
-        for row, child in zip(rows, streams[j0 : j0 + len(rows)]):
-            np.random.default_rng(child).standard_normal(out=row)
-        rows *= sqrt_lam
-        X[:, j0 : j0 + len(rows)] = rows.T
+    tile = np.empty((_BLOCK_COLUMNS, _STREAM_COLUMNS))
+    for j0, child in zip(range(0, n, _STREAM_COLUMNS), streams):
+        rng = np.random.default_rng(child)
+        cols = slice(j0, min(j0 + _STREAM_COLUMNS, n))
+        for i0 in range(0, p, _BLOCK_COLUMNS):
+            rows = slice(i0, min(i0 + _BLOCK_COLUMNS, p))
+            drawn = rng.standard_normal(out=tile[: rows.stop - i0])
+            np.multiply(drawn[:, : cols.stop - j0], sqrt_lam[rows], out=X[rows, cols])
     return _label(model, X, lam)
 
 
@@ -171,9 +174,9 @@ def nested(full: Dataset, model: DataModel) -> Dataset:
 
     ``full`` must come from generate or nested with the same seed and alpha,
     and at least model's n and p, so a grid can cut each design from the
-    previous design.  Column j's stream does not depend on n and its first p
-    normals do not depend on p, so X is the leading (p, n) block of full.X;
-    only the coefficients and labels (p + n normals) are redrawn.
+    previous design.  Column block b's stream does not depend on n and its
+    first p rows do not depend on p, so X is the leading (p, n) block of
+    full.X; only the coefficients and labels (p + n normals) are redrawn.
     """
     p_full, n_full = full.X.shape
     if model.p > p_full or model.n > n_full:

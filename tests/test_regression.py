@@ -61,18 +61,34 @@ class TestGenerate:
         assert row_vars == pytest.approx(data.eigenvalues, rel=0.15)
 
     @pytest.mark.parametrize("n, p", [(50, 100), (256, 512), (1000, 2000), (300, 150)])
-    def test_equals_per_column_reference(self, n, p):
-        # the reference draws each column into a strided column of X
+    def test_equals_per_block_reference(self, n, p):
+        # the reference draws each block's whole (p, 128) array in one call,
+        # not in generate's tiles, and keeps the leading columns of the last
         model = DataModel(n=n, p=p, alpha=1.75, sigma_sq=0.5, seed=23)
         sqrt_lam = np.sqrt(np.arange(1, p + 1, dtype=float) ** -model.alpha)
         reference = np.empty((p, n))
-        for j, child in enumerate(np.random.SeedSequence([model.seed, 3]).spawn(n)):
-            reference[:, j] = sqrt_lam * np.random.default_rng(child).standard_normal(p)
+        streams = np.random.SeedSequence([model.seed, 3]).spawn(-(-n // 128))
+        for b, child in enumerate(streams):
+            block = sqrt_lam[:, None] * np.random.default_rng(child).standard_normal((p, 128))
+            reference[:, 128 * b : 128 * (b + 1)] = block[:, : min(128, n - 128 * b)]
         data = generate(model)
         assert np.array_equal(data.X, reference)
         assert data.X.flags.c_contiguous
         eps = np.random.default_rng([model.seed, 2]).standard_normal(n) * np.sqrt(0.5)
         assert np.array_equal(data.y, reference.T @ data.beta_star + eps)
+
+    def test_one_design_stream_per_128_samples(self, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(regression.np.random, "default_rng", counting)
+        generate(DataModel(n=1000, p=20, alpha=1.5, sigma_sq=1.0, seed=2))
+        # 8 design blocks, the coefficients and the noise
+        assert len(calls) == -(-1000 // 128) + 2 == 10
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -86,7 +102,16 @@ class TestGenerate:
 class TestNested:
     @pytest.mark.parametrize(
         "full_shape, shape",
-        [((60, 90), (40, 60)), ((60, 90), (60, 30)), ((50, 50), (7, 13))],
+        [
+            ((60, 90), (40, 60)),
+            ((60, 90), (60, 30)),
+            ((50, 50), (7, 13)),
+            # cuts across the 128-sample stream blocks
+            ((300, 450), (129, 200)),
+            ((300, 450), (128, 450)),
+            ((300, 450), (127, 10)),
+            ((1000, 2000), (257, 1999)),
+        ],
     )
     def test_equals_a_fresh_draw_bitwise(self, full_shape, shape):
         (n_full, p_full), (n, p) = full_shape, shape
@@ -295,7 +320,7 @@ class TestFitRidge:
         regime = AsymptoticRegime(alpha=6.0, gamma_star=0.5, sigma_sq=1.0)
         _, _, rho_n = select_regularizer(regime, 0.2, 800)
         data = generate(DataModel(n=800, p=1600, alpha=6.0, sigma_sq=1.0, seed=0))
-        with pytest.raises(DomainError, match=r"n\*rho = 8.41e-15 .* eps = 2.21e-15"):
+        with pytest.raises(DomainError, match=r"n\*rho = 8.41e-15 .* eps = 2.01e-15"):
             fit_ridge(data, rho_n)
 
     def test_dominant_ridge_shrinks_to_zero(self):
