@@ -225,8 +225,8 @@ def select_regularizer(
     sig = regime.sigma_sq
     if not 0.0 < tau < sig:
         raise DomainError(f"tau must lie in (0, sigma_sq) = (0, {sig}), got {tau}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= float(np.finfo(float).max):  # a Python float: n may be any int
+        raise DomainError(f"n must lie in [1, {np.finfo(float).max:.3g}], got {n}")
 
     kc = regime.k_crit
     lo = kc + 1e-12 * max(kc, 1.0)

@@ -19,8 +19,7 @@ class DomainError(PowerlawRidgeError, ValueError):
 
 
 class ConvergenceError(PowerlawRidgeError, RuntimeError):
-    """An iterative scheme (series, quadrature, root finder) hit its budget
-    before reaching the requested tolerance."""
+    """A root solve, or a numerical check of the theory or diagnostics, failed."""
 
 
 class ConfigError(PowerlawRidgeError, ValueError):

@@ -16,7 +16,7 @@ every penalty factors that Gram in place, so a fit holds one Gram-sized
 matrix for any number of penalties.
 
 Every BLAS call on this path (the Gram, the labels and the fit's
-matrix-vector products), and in rmt's Gram sampler, goes through
+matrix-vector products), and in rmt's diagnostic Gram, goes through
 scipy.linalg.blas, the same BLAS library that cho_factor and cho_solve
 call.  numpy and scipy may each bundle their own OpenBLAS with its own
 thread pool, and a pool's workers spin for a while after each threaded
@@ -25,7 +25,8 @@ cores with the other pool's spinning workers.
 
 The design has one generator stream per block of 128 samples, drawn feature
 by feature, so a smaller (n, p) with the same seed is the leading block of a
-larger draw and :func:`nested` can cut a grid of n from one draw.
+larger draw and :func:`nested` can cut a grid of n from one draw.  generate and
+rmt's diagnostics share its sampler, :func:`design_blocks`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from scipy.linalg.blas import dgemv, dsyrk
 from .errors import DomainError
 
 # _mirror_upper and _all_finite take this many rows of a matrix at a time,
-# and generate draws this many feature rows per tile: a tuning choice.
+# and design_blocks yields this many feature rows per block: a tuning choice.
 _BLOCK_COLUMNS = 128
 # samples per design generator stream, part of the seed contract: changing
 # it redraws every design.
@@ -144,29 +145,35 @@ class RidgeFit:
 
 
 def generate(model: DataModel) -> Dataset:
-    """Draw one dataset, bit-reproducibly in the model seed.
+    """Draw one dataset, bit-reproducibly in the model seed: the design from
+    design_blocks, the coefficients and the noise from streams of their own.
+    X is not checked here; gram_matrix checks it once per fit."""
+    X = np.empty((model.p, model.n))
+    for _ in design_blocks(model.n, model.p, model.alpha, model.seed, out=X):
+        pass
+    return _label(model, X, power_law_spectrum(model.p, model.alpha))
 
-    Separate generator streams are derived for the coefficients, the noise
-    and each block of _STREAM_COLUMNS sample columns, which its stream fills
-    feature by feature and always at full width, so a smaller (n, p) is the
-    leading block of a larger draw.  Tiles are drawn into one small buffer
-    and written scaled into the C-ordered X, so no column is written with a
-    stride.  X is not checked here; gram_matrix checks it once per fit.
+
+def design_blocks(n: int, p: int, alpha: float, seed: int, out: np.ndarray | None = None):
+    """Yield the (p, n) design of ``seed``, _BLOCK_COLUMNS feature rows at a time.
+
+    Each block of _STREAM_COLUMNS sample columns has a generator stream of its
+    own, which draws one tile per block of rows, always at full width, so a
+    smaller (n, p) is the leading block of a larger draw.  The scaled tiles go
+    into ``out``'s rows (generate's X) or else into one reused row block.
     """
-    n, p = model.n, model.p
-    lam = power_law_spectrum(p, model.alpha)
-    sqrt_lam = np.sqrt(lam)[:, None]
-    streams = np.random.SeedSequence([model.seed, 3]).spawn(-(-n // _STREAM_COLUMNS))
-    X = np.empty((p, n))
+    sqrt_lam = np.sqrt(power_law_spectrum(p, alpha))[:, None]
+    streams = np.random.SeedSequence([seed, 3]).spawn(-(-n // _STREAM_COLUMNS))
+    rngs = [np.random.default_rng(child) for child in streams]
+    buffer = np.empty((min(_BLOCK_COLUMNS, p), n)) if out is None else None
     tile = np.empty((_BLOCK_COLUMNS, _STREAM_COLUMNS))
-    for j0, child in zip(range(0, n, _STREAM_COLUMNS), streams):
-        rng = np.random.default_rng(child)
-        cols = slice(j0, min(j0 + _STREAM_COLUMNS, n))
-        for i0 in range(0, p, _BLOCK_COLUMNS):
-            rows = slice(i0, min(i0 + _BLOCK_COLUMNS, p))
-            drawn = rng.standard_normal(out=tile[: rows.stop - i0])
-            np.multiply(drawn[:, : cols.stop - j0], sqrt_lam[rows], out=X[rows, cols])
-    return _label(model, X, lam)
+    for i0 in range(0, p, _BLOCK_COLUMNS):
+        scale = sqrt_lam[i0 : i0 + _BLOCK_COLUMNS]
+        block = out[i0 : i0 + len(scale)] if buffer is None else buffer[: len(scale)]
+        for j0, rng in zip(range(0, n, _STREAM_COLUMNS), rngs):
+            drawn = rng.standard_normal(out=tile[: len(scale)])[:, : n - j0]
+            np.multiply(drawn, scale, out=block[:, j0 : j0 + _STREAM_COLUMNS])
+        yield block
 
 
 def nested(full: Dataset, model: DataModel) -> Dataset:
@@ -195,7 +202,10 @@ def power_law_spectrum(p: int, alpha: float) -> np.ndarray:
 
 def feature_count(n: int, gamma: float) -> int:
     """Feature dimension p = round(n / gamma) of n samples at aspect ratio gamma."""
-    return int(round(n / gamma))
+    try:
+        return int(round(n / gamma))
+    except OverflowError:
+        raise DomainError(f"n / gamma exceeds the float range at gamma = {gamma}") from None
 
 
 def _label(model: DataModel, X: np.ndarray, lam: np.ndarray) -> Dataset:

@@ -18,11 +18,10 @@ from scipy.linalg import eigvalsh
 from scipy.linalg.blas import dsyrk
 
 from .errors import DomainError
-from .regression import feature_count, power_law_spectrum
+from .regression import design_blocks, feature_count
 
 # eigenvalue noise below this fraction of the largest atom is clamped to zero
 _CLAMP_REL = 1e-12
-_BLOCK_ROWS = 128  # feature rows per block of scaled_gram_eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,19 +114,12 @@ def self_consistent_residual(
     return abs(1.0 - r / k - total / n)
 
 
-def scaled_gram_eigenvalues(
-    n: int, p: int, alpha: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Eigenvalues of n^alpha * Gram for one power-law random-design draw,
-    drawn (consuming rng as one (p, n) draw does) and added into the Gram's
-    lower triangle a block of feature rows at a time."""
-    sqrt_lam = np.sqrt(power_law_spectrum(p, alpha))
+def scaled_gram_eigenvalues(n: int, p: int, alpha: float, seed: int) -> np.ndarray:
+    """Eigenvalues of n^alpha * Gram for the power-law design that generate
+    draws with ``seed``, added into the Gram's lower triangle a block of
+    feature rows at a time."""
     gram = np.zeros((n, n), order="F")
-    block = np.empty((min(_BLOCK_ROWS, p), n))
-    for i0 in range(0, p, _BLOCK_ROWS):
-        rows = block[: min(_BLOCK_ROWS, p - i0)]
-        rng.standard_normal(out=rows)
-        rows *= sqrt_lam[i0 : i0 + len(rows), None]
+    for rows in design_blocks(n, p, alpha, seed):
         gram = dsyrk(1.0, rows.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
     gram /= n
     # dsyevd, as in numpy's eigvalsh (scipy's default, dsyevr, sums differently),
@@ -147,9 +139,9 @@ def positivity_check(
     """Average d/dr [r S_esd(n^alpha Gram)(-r)] over independent draws.
 
     Returns one (r, mean derivative) pair per grid value; the norm-growth
-    argument needs every mean to be strictly positive.  Each trial draws its
-    own generator from (seed, trial index), so the aggregate is independent
-    of evaluation order.
+    argument needs every mean to be strictly positive.  Trial t inspects the
+    design that a sweep's trial t fits at base seed ``seed`` (seed + t), so
+    the aggregate is independent of evaluation order.
     """
     if not r_grid:
         raise DomainError("r_grid must be non-empty")
@@ -163,8 +155,7 @@ def positivity_check(
 
     sums = np.zeros(len(r_grid))
     for trial in range(trials):
-        values = scaled_gram_eigenvalues(n, p, alpha, np.random.default_rng([seed, trial]))
+        values = scaled_gram_eigenvalues(n, p, alpha, seed + trial)
         measure = SpectralMeasure.from_eigenvalues(values)
-        for i, r in enumerate(r_grid):
-            sums[i] += d_rS_dr(measure, r)
+        sums += [d_rS_dr(measure, r) for r in r_grid]
     return [(r, float(s / trials)) for r, s in zip(r_grid, sums)]

@@ -292,6 +292,11 @@ class TestSelectRegularizer:
         with pytest.raises(ConvergenceError, match="could not bracket"):
             select_regularizer(REGIME_PAPER, 0.5, 100)
 
+    @pytest.mark.parametrize("n", [0, 10**400])
+    def test_n_outside_one_to_the_float_range_is_a_domain_error(self, n):
+        with pytest.raises(DomainError, match="n must lie in"):
+            select_regularizer(REGIME_PAPER, 0.5, n)
+
     @pytest.mark.parametrize("alpha", [1.75, 4.0, 1.5, 2.0, 2.5, 3.0, 5.0, 6.0, 8.0])
     @pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
     def test_tau_on_reachable_floor(self, alpha, sigma_sq):

@@ -489,8 +489,15 @@ class TestCli:
                 + ["--tau-grid", "0.2:0.4:2", "--trials", "1"],
                 2,
             ),
+            # an n beyond the float range
+            (["solve", "--tau", "0.2", "--n", "1" + "0" * 400], 1),
+            (["tradeoff", "--n", "1" + "0" * 400], 1),
+            (["diagnose", "--n", "1" + "0" * 400], 1),
         ],
-        ids=["diagnose-trials", "tradeoff-tau", "normgrowth-tau", "failed-fit"],
+        ids=[
+            "diagnose-trials", "tradeoff-tau", "normgrowth-tau", "failed-fit",
+            "solve-huge-n", "tradeoff-huge-n", "diagnose-huge-n",
+        ],  # fmt: skip
     )
     def test_domain_errors_exit_one_and_failed_fits_two(self, argv, code, capsys):
         assert cli_main(argv) == code

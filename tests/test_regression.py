@@ -13,6 +13,7 @@ from powerlaw_ridge.errors import DomainError
 from powerlaw_ridge.regression import (
     DataModel,
     analytic_test_mse,
+    feature_count,
     fit_ridge,
     generate,
     gram_matrix,
@@ -97,6 +98,13 @@ class TestGenerate:
             DataModel(n=3, p=3, alpha=1.0, sigma_sq=1.0)
         with pytest.raises(DomainError):
             DataModel(n=3, p=3, alpha=2.0, sigma_sq=-1.0)
+
+
+class TestFeatureCount:
+    @pytest.mark.parametrize("n, gamma", [(10**400, 0.5), (10**308, 1e-10)])
+    def test_beyond_float_range_is_a_domain_error(self, n, gamma):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            feature_count(n, gamma)
 
 
 class TestNested:

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import gram_to_covariance_check, stieltjes
+from powerlaw_ridge import harness
 from powerlaw_ridge.eigenlearning import AsymptoticRegime, k_of_r
 from powerlaw_ridge.errors import DomainError
+from powerlaw_ridge.harness import SweepConfig, run_tradeoff_sweep
+from powerlaw_ridge.regression import DataModel, design_blocks, generate
 from powerlaw_ridge.rmt import (
     LimitCdf,
     SpectralMeasure,
@@ -204,6 +207,30 @@ class TestPositivity:
         b = positivity_check(1.75, 0.5, 100, [0.5, 2.0], trials=4, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_inspects_the_designs_a_tradeoff_sweep_fits(self, seed, monkeypatch):
+        # trial t of diagnose at seed s is the design that trial t of a
+        # tradeoff sweep at seed s fits, so each mean is the one recomputed
+        # from the blocked Gram of the sweep's designs
+        n, r_grid = 200, [0.1, 1.0, 10.0]
+        designs = []
+
+        def record(model):
+            data = generate(model)
+            designs.append(data.X.copy())
+            return data
+
+        monkeypatch.setattr(harness, "generate", record)
+        config = SweepConfig(AsymptoticRegime(1.75, 0.5), (0.3,), 3, seed)
+        run_tradeoff_sweep(config, n)
+        assert len(designs) == 3
+        sums = np.zeros(len(r_grid))
+        for X in designs:
+            measure = SpectralMeasure.from_eigenvalues(blocked_reference(X))
+            sums += [d_rS_dr(measure, r) for r in r_grid]
+        expected = [(r, float(total / 3)) for r, total in zip(r_grid, sums)]
+        assert positivity_check(1.75, 0.5, n, r_grid, trials=3, seed=seed) == expected
+
     def test_validation(self):
         with pytest.raises(DomainError):
             positivity_check(1.75, 0.5, 100, [], trials=2, seed=0)
@@ -225,25 +252,24 @@ class TestSpectralMeasureClamping:
             SpectralMeasure.from_eigenvalues(np.array([-0.5, 1.0]))
 
     def test_gram_sampler_shape(self):
-        rng = np.random.default_rng(0)
-        values = scaled_gram_eigenvalues(20, 40, 1.5, rng)
+        values = scaled_gram_eigenvalues(20, 40, 1.5, 0)
         assert values.shape == (20,)
 
     @pytest.mark.parametrize("n, p", [(20, 40), (1000, 2000), (300, 150)])
     def test_gram_sampler_equals_reference(self, n, p):
-        values = scaled_gram_eigenvalues(n, p, 1.75, np.random.default_rng(4))
-        assert np.array_equal(values, blocked_reference(n, p, 4))
+        values = scaled_gram_eigenvalues(n, p, 1.75, 4)
+        assert np.array_equal(values, blocked_reference(generated_design(n, p, 4)))
 
     def test_gram_sampler_calls_no_numpy_eigvalsh(self, monkeypatch):
         # the sampler decomposes in scipy's LAPACK, the fits' library, and
         # still matches numpy's eigvalsh bit for bit
-        reference = blocked_reference(300, 600, 6)
+        reference = blocked_reference(generated_design(300, 600, 6))
 
         def fail(*args, **kwargs):
             raise AssertionError("numpy.linalg.eigvalsh was called")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        values = scaled_gram_eigenvalues(300, 600, 1.75, np.random.default_rng(6))
+        values = scaled_gram_eigenvalues(300, 600, 1.75, 6)
         assert np.array_equal(values, reference)
 
     @pytest.mark.parametrize("n, p", [(20, 40), (1000, 2000), (300, 150), (129, 257)])
@@ -253,43 +279,43 @@ class TestSpectralMeasureClamping:
         # in another order; rounding moves each atom above 1e-8 of the
         # largest by far less than 1e-10 relative, and every atom by far
         # less than 1e-14 of the largest
-        X = scaled_design(n, p, seed)
+        X = generated_design(n, p, seed)
         oracle = float(n) ** 1.75 * np.linalg.eigvalsh(X.T @ X / n)
-        values = scaled_gram_eigenvalues(n, p, 1.75, np.random.default_rng(seed))
+        values = scaled_gram_eigenvalues(n, p, 1.75, seed)
         large = oracle > 1e-8 * oracle[-1]
         assert np.all(np.abs(values - oracle)[large] <= 1e-10 * oracle[large])
         assert np.all(np.abs(values - oracle) <= 1e-14 * oracle[-1])
 
     @pytest.mark.parametrize("n, p", [(20, 40), (300, 150), (129, 257)])
-    def test_gram_sampler_consumes_one_design_draw(self, n, p):
-        rng, one_draw = np.random.default_rng(8), np.random.default_rng(8)
-        scaled_gram_eigenvalues(n, p, 1.75, rng)
-        one_draw.standard_normal((p, n))
-        assert rng.bit_generator.state == one_draw.bit_generator.state
+    def test_gram_sampler_blocks_are_the_generated_design(self, n, p):
+        # the blocks the Gram sums are generate's X, bit for bit, for the
+        # seeds positivity_check gives trials 0-2 at seed 8
+        for seed in (8, 9, 10):
+            blocks = [block.copy() for block in design_blocks(n, p, 1.75, seed)]
+            assert [len(block) for block in blocks[:-1]] == [128] * (len(blocks) - 1)
+            assert np.array_equal(np.concatenate(blocks), generated_design(n, p, seed))
 
     def test_gram_sampler_holds_only_the_gram_and_one_block(self):
         # the design is never held whole: 2000 x 1000 doubles would take the
         # peak to three times the Gram's bytes
         n, p = 1000, 2000
-        rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            scaled_gram_eigenvalues(n, p, 1.75, rng)
+            scaled_gram_eigenvalues(n, p, 1.75, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 8 * n * n
 
 
-def scaled_design(n, p, seed):
-    lam = np.arange(1, p + 1, dtype=float) ** -1.75
-    return np.sqrt(lam)[:, None] * np.random.default_rng(seed).standard_normal((p, n))
+def generated_design(n, p, seed):
+    return generate(DataModel(n, p, 1.75, 1.0, seed=seed)).X
 
 
-def blocked_reference(n, p, seed):
+def blocked_reference(X):
     # numpy's products summed over the sampler's 128-row feature blocks, then
     # numpy's eigvalsh, all into fresh arrays
-    X = scaled_design(n, p, seed)
+    p, n = X.shape
     gram = np.zeros((n, n))
     for i0 in range(0, p, 128):
         block = X[i0 : i0 + 128]
