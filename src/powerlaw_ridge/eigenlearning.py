@@ -31,9 +31,11 @@ The finite-n counterpart solves the effective-regularizer equation
 for kappa and propagates it through the overfitting coefficient
 n * dkappa/ddelta to finite-n train/test error predictions.
 
-k_crit, k_of_r and kappa are Newton roots converged to a few ulps in k; the
-first two agree with 40-digit roots to 2e-11 relative down to alpha = 1.0001.
-select_regularizer has no derivative, so it bisects to |f| <= 1e-11 sigma^2.
+k_crit, k_of_r and the k of select_regularizer share one bracket, grown
+from just above k_crit, and every root here, kappa included, is converged
+to a few ulps in k: Newton steps for the first two and kappa, bisection for
+select_regularizer, which has no derivative at hand.  k_crit and k_of_r
+agree with 40-digit roots to 2e-11 relative down to alpha = 1.0001.
 """
 
 from __future__ import annotations
@@ -133,8 +135,6 @@ def _resolvent_integral(regime: AsymptoticRegime, k: float, a: float) -> float:
 
 def r_of_k(regime: AsymptoticRegime, k: float) -> float:
     """The regularizer factor R(k) = k (1 - I(k)); negative below k_crit."""
-    if k < 0.0:
-        raise DomainError(f"k must be >= 0, got {k}")
     if k == 0.0:
         return 0.0
     return k * (1.0 - integral_i(regime, k))
@@ -161,11 +161,7 @@ def _solve_k_crit(regime: AsymptoticRegime) -> float:
         # dI/dk = (J(k) - I(k)) / k, by differentiating under the integral
         return (integral_j(regime, k) - integral_i(regime, k)) / k
 
-    hi, f_hi = _grow_bracket(f, 1.0, "I(k) = 1")
-    # the lower edge is the last hi that failed: the iterates, and so the
-    # last bits of k_crit, depend on it
-    lo = 0.0 if hi == 1.0 else hi / 4.0
-    return _bisect_newton(f, di_dk, lo, hi, f_hi=f_hi)
+    return _root_above(0.0, f, di_dk, 1.0, "I(k) = 1")
 
 
 def k_of_r(regime: AsymptoticRegime, r: float) -> float:
@@ -173,18 +169,14 @@ def k_of_r(regime: AsymptoticRegime, r: float) -> float:
     if not r > 0.0:
         raise DomainError(f"r must be positive, got {r}")
     kc = regime.k_crit
-    lo = kc + 1e-12 * max(kc, 1.0)
-    for _ in range(64):  # r below R(lo) needs a tighter left edge
-        if r_of_k(regime, lo) < r:
-            break
-        lo = kc + (lo - kc) / 1024.0
 
     def f(k: float) -> float:
         return r - r_of_k(regime, k)
 
-    hi, f_hi = _grow_bracket(f, max(10.0 * r, 2.0 * lo, 1.0), f"R(k) = {r}")
-    # f' = -dR/dk = J(k) - 1
-    return _bisect_newton(f, lambda k: integral_j(regime, k) - 1.0, lo, hi, f_hi=f_hi)
+    def f_prime(k: float) -> float:
+        return integral_j(regime, k) - 1.0  # -dR/dk
+
+    return _root_above(kc, f, f_prime, max(10.0 * r, 2.0 * kc, 1.0), f"R(k) = {r}")
 
 
 def asymptotic_errors(regime: AsymptoticRegime, k: float) -> EigenlearningPoint:
@@ -219,41 +211,42 @@ def select_regularizer(
     """Pick the ridge penalty hitting asymptotic train error tau.
 
     Solves E_train(k) = tau on (k_crit, inf), sets r = R(k) and
-    rho_n = r * n^(-alpha).  Returns (k, r, rho_n).  A tau within 1e-11 *
-    sigma_sq of E_train at the lower edge, the reachable floor, returns that edge.
+    rho_n = r * n^(-alpha).  Returns (k, r, rho_n).  E_train falls to its
+    floor, sigma_sq (1 - 1/gamma_star) for gamma_star > 1 and 0 otherwise,
+    as k falls to k_crit, and 1 - I(k) cancels on the way.  A tau below
+    floor + 1e-8 sigma_sq is a DomainError; from there up, r and rho_n are
+    within 1e-7 relative of the exact root (tested against 50-digit mpmath
+    roots).  A rho_n that underflows to a subnormal is a DomainError too.
     """
     sig = regime.sigma_sq
     if not 0.0 < tau < sig:
         raise DomainError(f"tau must lie in (0, sigma_sq) = (0, {sig}), got {tau}")
     if not 1 <= n <= float(np.finfo(float).max):  # a Python float: n may be any int
         raise DomainError(f"n must lie in [1, {np.finfo(float).max:.3g}], got {n}")
-
-    kc = regime.k_crit
-    lo = kc + 1e-12 * max(kc, 1.0)
+    g = regime.gamma_star
+    floor = sig * (1.0 - 1.0 / g) if g > 1.0 else 0.0
+    if tau < floor + 1e-8 * sig:
+        raise DomainError(
+            f"tau = {tau} is below the smallest train error resolved in this "
+            f"regime, floor + 1e-8 sigma_sq = {floor + 1e-8 * sig:.9g}"
+        )
 
     def f(k: float) -> float:
         return tau - train_error_of_k(regime, k)
 
-    hi, f_hi = _grow_bracket(f, max(2.0 * lo, 1.0), f"E_train(k) = {tau}")
-    e_lo = train_error_of_k(regime, lo)
-    f_tol = 1e-11 * sig
-    if e_lo - tau > f_tol:
-        raise DomainError(
-            f"tau = {tau} is below the smallest train error reachable in this "
-            f"regime (E_train({lo:.3g}) = {e_lo:.6g})"
-        )
-    if abs(e_lo - tau) <= f_tol:
-        k = lo
-    else:
-        # E_train has no derivative at hand here, so the solver bisects
-        k = _bisect_newton(f, None, lo, hi, f_tol=f_tol, f_lo=tau - e_lo, f_hi=f_hi)
+    kc = regime.k_crit
+    # E_train has no derivative at hand here, so the solver bisects
+    k = _root_above(kc, f, None, max(2.0 * kc, 1.0), f"E_train(k) = {tau}")
     point = asymptotic_errors(regime, k)
     residual = point.e_train - tau
     if abs(residual) > 1e-10 * sig:
         raise ConvergenceError(
             f"train-error solve stalled at tau = {tau} (residual {residual:.3e})"
         )
-    return k, point.r, point.r * float(n) ** -regime.alpha
+    rho_n = point.r * float(n) ** -regime.alpha
+    if not rho_n >= np.finfo(float).tiny:
+        raise DomainError(f"rho_n = r * n^(-alpha) underflows at n = {float(n):.3g}")
+    return k, point.r, rho_n
 
 
 def check_train_error_monotone(regime: AsymptoticRegime) -> None:
@@ -345,36 +338,42 @@ def _solve_kappa(lam: np.ndarray, delta: float, n: int) -> float:
     def g_prime(kappa: float) -> float:
         return delta / kappa**2 + float(np.sum(lam / (lam + kappa) ** 2))
 
-    return _bisect_newton(g, g_prime, lo, hi)
+    return _bisect_newton(g, g_prime, lo, hi, g(lo), g(hi))
 
 
-def _grow_bracket(f, hi: float, what: str) -> tuple[float, float]:
-    """Right edge for a root of the decreasing f: the first hi * 4^j with
-    f(hi) <= 0, returned with f(hi)."""
+def _root_above(kc: float, f, f_prime, hi: float, what: str) -> float:
+    """Root on (kc, inf) of f, decreasing there and positive just above kc.
+
+    The left edge starts 1e-12 above kc (relative to kc, or absolute below
+    kc = 1) and moves toward kc, its gap cut 1024-fold, until f > 0; the
+    right edge grows 4-fold from hi until f <= 0, and a right edge that
+    fails becomes the left one.  Both edge values go to _bisect_newton.
+    """
+    lo = kc + 1e-12 * max(kc, 1.0)
+    for _ in range(64):
+        f_lo = f(lo)
+        if f_lo > 0.0:
+            break
+        lo = kc + (lo - kc) / 1024.0
+    else:
+        raise DomainError(f"{what} has no root that doubles resolve above {kc:.6g}")
     for _ in range(200):
         f_hi = f(hi)
         if f_hi <= 0.0:
-            return hi, f_hi
+            return _bisect_newton(f, f_prime, lo, hi, f_lo, f_hi)
+        lo, f_lo = hi, f_hi
         hi *= 4.0
     raise ConvergenceError(f"could not bracket {what}")
 
 
-def _bisect_newton(
-    f, f_prime, lo: float, hi: float, f_tol: float = 0.0, f_lo=None, f_hi=None
-) -> float:
+def _bisect_newton(f, f_prime, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """Safeguarded root finder: Newton steps clipped to a shrinking bracket.
 
-    Assumes f(lo) <= 0 <= f(hi) or the reverse.  Takes the Newton step when
-    f_prime is given and the step stays inside the bracket, else bisects.
-    Stops when |f| <= f_tol (default 0: converge in x), or when the step or
-    the bracket is at most 4 ulps wide.  A caller that already evaluated f
-    at an edge passes the value as f_lo or f_hi, and f is not evaluated
-    there again.
+    Takes f at both edges, f_lo = f(lo) and f_hi = f(hi), which must differ
+    in sign or be 0.  Takes the Newton step when f_prime is given and the
+    step stays inside the bracket, else bisects.  Stops at an exact zero of
+    f, or when the step or the bracket is at most 4 ulps wide.
     """
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -388,7 +387,7 @@ def _bisect_newton(
     x = 0.5 * (lo + hi)
     for _ in range(_MAX_ITERATIONS):
         fx = f(x)
-        if abs(fx) <= f_tol:
+        if fx == 0.0:
             return x
         if (fx > 0.0) == increasing:
             hi = x

@@ -56,6 +56,28 @@ def quadrature_i(regime, k, a=1.0, upper=None):
     )
 
 
+def mpmath_train_error_root(alpha, gamma_star, tau, k_start):
+    """(k, R(k)) at the root of E_train(k) = tau, sigma_sq = 1, at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        b = 1 / a
+        g = mpmath.mpf(gamma_star)
+
+        def i_and_j(k):
+            if g == 0:
+                i = k**-b * mpmath.pi / (a * mpmath.sin(mpmath.pi / a))
+                return i, (1 - b) * i
+            z = -k * g**-a
+            return mpmath.hyp2f1(1, b, 1 + b, z) / g, mpmath.hyp2f1(2, b, 1 + b, z) / g
+
+        def e_train(k):
+            i, j = i_and_j(k)
+            return (1 - i) ** 2 / (1 - j)
+
+        k = mpmath.findroot(lambda k: e_train(k) - mpmath.mpf(tau), mpmath.mpf(k_start))
+        return k, k * (1 - i_and_j(k)[0])
+
+
 class TestIntegrals:
     def test_i_at_zero_is_inverse_gamma(self):
         assert integral_i(REGIME_SQUARE, 0.0) == 1.0
@@ -206,6 +228,19 @@ class TestRootsAgainstMpmath:
         assert abs(kc - kc_ref) <= 2e-11 * kc_ref
         assert abs(k_small_r - k_small_r_ref) <= 2e-11 * k_small_r_ref
 
+    @pytest.mark.parametrize("alpha", [1.25, 1.75, 2.5])
+    @pytest.mark.parametrize("gamma_star", [0.0, 0.5, 2.0 / 3.0, 1.0, 2.0])
+    def test_select_regularizer_down_to_its_floor(self, alpha, gamma_star):
+        # the stated claim: from tau = floor + 1e-8 sigma_sq up, r and rho_n
+        # are within 1e-7 relative of the exact root
+        regime = AsymptoticRegime(alpha=alpha, gamma_star=gamma_star)
+        floor = 1.0 - 1.0 / gamma_star if gamma_star > 1.0 else 0.0
+        for offset in (1e-8, 1e-6, 1e-4, 1e-2, 0.3):
+            k, r, rho_n = select_regularizer(regime, floor + offset, 1000)
+            _, r_ref = mpmath_train_error_root(alpha, gamma_star, floor + offset, k)
+            assert abs(r - r_ref) <= 1e-7 * r_ref
+            assert abs(rho_n - r_ref * mpmath.mpf(1000) ** -alpha) <= 1e-7 * rho_n
+
 
 class TestAsymptoticErrors:
     def test_arctan_point(self):
@@ -300,23 +335,24 @@ class TestSelectRegularizer:
     @pytest.mark.parametrize("alpha", [1.75, 4.0, 1.5, 2.0, 2.5, 3.0, 5.0, 6.0, 8.0])
     @pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
     def test_tau_on_reachable_floor(self, alpha, sigma_sq):
-        # gamma_star = 2 puts the floor at sigma_sq / 2, which E_train at the
-        # solver's lower edge k = 1e-12 meets up to a few ulps either side;
-        # every such tau gets that edge as its root
+        # gamma_star = 2 puts the floor at sigma_sq / 2, which E_train only
+        # approaches as k -> 0: the floor itself is out of the domain, and
+        # 1e-6 sigma_sq above it is solved to the residual contract
         regime = AsymptoticRegime(alpha=alpha, gamma_star=2.0, sigma_sq=sigma_sq)
-        tau = sigma_sq / 2.0
-        assert abs(train_error_of_k(regime, 1e-12) - tau) <= 1e-11 * sigma_sq
+        floor = sigma_sq / 2.0
+        with pytest.raises(DomainError, match="below the smallest train error"):
+            select_regularizer(regime, floor, 100)
+        tau = floor + 1e-6 * sigma_sq
         k, r, rho_n = select_regularizer(regime, tau, 100)
-        assert k == 1e-12
-        assert abs(train_error_of_k(regime, k) - tau) <= 1e-11 * sigma_sq
+        assert abs(train_error_of_k(regime, k) - tau) <= 1e-10 * sigma_sq
         assert r == r_of_k(regime, k)
         assert rho_n == r * 100.0**-alpha
 
     def test_edge_values_are_not_evaluated_twice(self, monkeypatch):
         # the bracket search hands its edge values to the root finder, so a
-        # solve evaluates E_train at each edge once; the result is pinned to
-        # the last bit, and the pins stay within 1e-15 of those the
-        # hand-rolled hypergeometric series gave
+        # solve evaluates hyp2f1 at no argument twice; the bisection to a few
+        # ulps in k takes 108 calls.  The result is pinned to the last bit,
+        # and the pins lie within 1e-14 of the 50-digit root
         regime = AsymptoticRegime(alpha=1.75, gamma_star=0.5, sigma_sq=1.0)
         regime.k_crit  # cached; its own solve is not counted
         calls = []
@@ -325,11 +361,12 @@ class TestSelectRegularizer:
             eigenlearning, "hyp2f1", lambda args: calls.append(args) or hyp2f1(args)
         )
         k, r, rho_n = select_regularizer(regime, 0.3, 1000)
-        assert len(calls) <= 77
-        pinned = (5.864074047335549, 2.715392980226939, 1.5269776869133885e-05)
+        assert len(set(calls)) == len(calls) <= 108
+        pinned = (5.864074047158772, 2.7153929801005896, 1.526977686842337e-05)
         assert (k, r, rho_n) == pinned
-        series = (5.8640740473355475, 2.7153929802269383, 1.526977686913388e-05)
-        assert all(abs(p - q) <= 1e-15 * q for p, q in zip(pinned, series))
+        k_ref, r_ref = mpmath_train_error_root(1.75, 0.5, 0.3, k)
+        references = (k_ref, r_ref, r_ref * mpmath.mpf(1000) ** -1.75)
+        assert all(abs(p - q) <= 1e-14 * q for p, q in zip(pinned, references))
 
     def test_limit_directions(self):
         # tau near sigma_sq pushes k (and rho_n) up; tau near 0 pulls k down

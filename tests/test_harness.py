@@ -493,10 +493,19 @@ class TestCli:
             (["solve", "--tau", "0.2", "--n", "1" + "0" * 400], 1),
             (["tradeoff", "--n", "1" + "0" * 400], 1),
             (["diagnose", "--n", "1" + "0" * 400], 1),
+            # a tau below floor + 1e-8 sigma_sq, and an n at which rho_n underflows
+            (["solve", "--tau", "1e-14", "--n", "1000"], 1),
+            (["solve", "--tau", "0.2", "--n", "1" + "0" * 200], 1),
+            (
+                ["tradeoff", "--n", "1" + "0" * 300]
+                + ["--tau-grid", "0.2:0.4:2", "--trials", "1"],
+                1,
+            ),
         ],
         ids=[
             "diagnose-trials", "tradeoff-tau", "normgrowth-tau", "failed-fit",
             "solve-huge-n", "tradeoff-huge-n", "diagnose-huge-n",
+            "solve-tau-unresolved", "solve-rho-underflow", "tradeoff-rho-underflow",
         ],  # fmt: skip
     )
     def test_domain_errors_exit_one_and_failed_fits_two(self, argv, code, capsys):
