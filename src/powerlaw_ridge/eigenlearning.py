@@ -6,15 +6,20 @@ against the power-law spectral density,
     I(k) = integral_0^(1/g) dx / (1 + k x^alpha),
     J(k) = integral_0^(1/g) dx / (1 + k x^alpha)^2,
 
-with g the asymptotic sample-to-feature ratio.  Both reduce to the Gauss
-hypergeometric family that :mod:`powerlaw_ridge.specfun` checks and
-scipy.special.hyp2f1 evaluates:
+with g the asymptotic sample-to-feature ratio.  I is one Gauss
+hypergeometric function, which :mod:`powerlaw_ridge.specfun` checks and
+scipy.special.hyp2f1 evaluates,
 
-    I(k) = F(1, 1/alpha; 1 + 1/alpha; -k g^-alpha) / g,
-    J(k) = F(2, 1/alpha; 1 + 1/alpha; -k g^-alpha) / g,
+    I(k) = F(1, b; 1 + b; z) / g,    b = 1/alpha,  z = -k g^-alpha,
 
-and for g = 0 the improper integrals have the closed forms
-I(k) = k^(-1/alpha) * pi / (alpha sin(pi/alpha)) and J(k) = (1 - 1/alpha) I(k).
+and J follows from it by Gauss's contiguous relation in a (DLMF 15.5(ii)),
+F(2, b; b+1; z) = (1 - b) F(1, b; b+1; z) + b / (1 - z):
+
+    J(k) = (1 - b) I(k) + b / (g (1 - z)).
+
+For g = 0 the improper integral has the closed form
+I(k) = k^(-1/alpha) * pi / (alpha sin(pi/alpha)), and J(k) = (1 - 1/alpha) I(k)
+is the relation's g -> 0 limit.
 
 The curve is parametrized by the effective-regularizer factor k.  The
 regularizer factor is r = R(k) = k (1 - I(k)), the asymptotic test error is
@@ -108,29 +113,26 @@ def _limit_constant(alpha: float) -> float:
 
 def integral_i(regime: AsymptoticRegime, k: float) -> float:
     """I(k), the resolvent-trace integral of first order."""
-    return _resolvent_integral(regime, k, 1.0)
-
-
-def integral_j(regime: AsymptoticRegime, k: float) -> float:
-    """J(k), the squared-resolvent integral."""
-    return _resolvent_integral(regime, k, 2.0)
-
-
-def _resolvent_integral(regime: AsymptoticRegime, k: float, a: float) -> float:
-    # integral_0^(1/g) dx / (1 + k x^alpha)^a for a in {1, 2}
     if k < 0.0:
         raise DomainError(f"k must be >= 0, got {k}")
     g = regime.gamma_star
     alpha = regime.alpha
     if g == 0.0:
-        if k == 0.0:
-            return math.inf
-        # J = (1 - 1/alpha) I; 1.0 * x leaves I's rounding untouched
-        scale = 1.0 if a == 1.0 else 1.0 - 1.0 / alpha
-        return scale * k ** (-1.0 / alpha) * _limit_constant(alpha)
+        return math.inf if k == 0.0 else k ** (-1.0 / alpha) * _limit_constant(alpha)
     b = 1.0 / alpha
-    z = -k * g**-alpha
-    return hyp2f1(HypergeometricArgs(a, b, 1.0 + b, z)) / g
+    return hyp2f1(HypergeometricArgs(1.0, b, 1.0 + b, -k * g**-alpha)) / g
+
+
+def integral_j(regime: AsymptoticRegime, k: float) -> float:
+    """J(k), the squared-resolvent integral."""
+    return _j_from_i(regime, k, integral_i(regime, k))
+
+
+def _j_from_i(regime: AsymptoticRegime, k: float, i: float) -> float:
+    # J = (1 - b) I + b / (g (1 - z)); the second term vanishes as g -> 0
+    g, b = regime.gamma_star, 1.0 / regime.alpha
+    tail = 0.0 if g == 0.0 else b / (g + k * g ** (1.0 - regime.alpha))
+    return (1.0 - b) * i + tail
 
 
 def r_of_k(regime: AsymptoticRegime, k: float) -> float:
@@ -185,7 +187,7 @@ def asymptotic_errors(regime: AsymptoticRegime, k: float) -> EigenlearningPoint:
     if not k > kc:
         raise DomainError(f"k must exceed k_crit = {kc:.6g}, got {k}")
     i = integral_i(regime, k)
-    j = integral_j(regime, k)
+    j = _j_from_i(regime, k, i)
     if not j < 1.0:
         raise DomainError(f"J(k) = {j} >= 1; k is below the valid branch")
     denom = 1.0 - j

@@ -176,6 +176,15 @@ class _GridPoint(NamedTuple):
     theory_test: float
 
 
+def _grid_point(
+    regime: AsymptoticRegime, sweep_value: float, tau: float, n: int
+) -> _GridPoint:
+    """The penalty hitting train error tau at n, and the theory errors there."""
+    k, r, rho_n = select_regularizer(regime, tau, n)
+    theory = asymptotic_errors(regime, k)
+    return _GridPoint(sweep_value, n, k, r, rho_n, theory.e_train, theory.e_test)
+
+
 def _run_sweep(config: SweepConfig, points: list[_GridPoint]) -> SweepResult:
     """Every trial over the whole grid; rows point-major, trial-minor."""
     by_trial = [_run_trial(config, points, t) for t in range(config.trials_per_point)]
@@ -269,11 +278,7 @@ def run_tradeoff_sweep(config: SweepConfig, n: int) -> SweepResult:
         raise ConfigError(f"tau grid values must lie in (0, sigma_sq) = (0, {sig})")
     check_train_error_monotone(regime)
 
-    points = []
-    for tau in config.grid:
-        k, r, rho_n = select_regularizer(regime, tau, n)
-        theory = asymptotic_errors(regime, k)
-        points.append(_GridPoint(tau, n, k, r, rho_n, theory.e_train, theory.e_test))
+    points = [_grid_point(regime, tau, tau, n) for tau in config.grid]
     return _run_sweep(config, points)
 
 
@@ -281,11 +286,7 @@ def run_norm_growth_sweep(
     config: SweepConfig, tau: float
 ) -> tuple[SweepResult, ExponentFit]:
     """Sweep the sample counts of the grid at target train error tau; fit
-    the norm-growth exponent.
-
-    The regularizer factor r is n-free, so it is solved once and only
-    rho_n = r * n^(-alpha) varies along the grid.
-    """
+    the norm-growth exponent."""
     regime = config.regime
     sig = regime.sigma_sq
     if not 0.0 < tau < sig:
@@ -294,14 +295,7 @@ def run_norm_growth_sweep(
         raise ConfigError("n grid values must be positive integers")
     check_train_error_monotone(regime)
 
-    k, r, _ = select_regularizer(regime, tau, n=1)
-    theory = asymptotic_errors(regime, k)
-    points = [
-        _GridPoint(
-            float(n), n, k, r, r * float(n) ** -regime.alpha, theory.e_train, theory.e_test
-        )
-        for n in map(int, config.grid)
-    ]
+    points = [_grid_point(regime, float(n), tau, n) for n in map(int, config.grid)]
     result = _run_sweep(config, points)
     norms = [agg for agg in result.aggregates if agg.metric == "sq_norm"]
     fit = fit_log_log(

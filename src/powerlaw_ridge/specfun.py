@@ -1,8 +1,9 @@
 """Gauss hypergeometric function on the family F(a, b; b+1; z) with z <= 0.
 
-This is the only parameter family the trade-off formulas need: a is 1 or 2,
-b = 1/alpha lies in (0, 1), and c = b + 1.  scipy.special.hyp2f1 evaluates
-it; this module checks that the arguments lie in the family.
+This is the only parameter family the trade-off formulas need: b = 1/alpha
+lies in (0, 1) and c = b + 1.  The package evaluates a = 1 only; a = 2 stays
+valid for other callers, the benchmark's accuracy probe among them.
+scipy.special.hyp2f1 evaluates it; this module checks the family.
 """
 
 from __future__ import annotations

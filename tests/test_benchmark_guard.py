@@ -2,15 +2,18 @@
 
 perfbench wraps package functions by name and raises TraceError when one
 is gone, so a rename or a move in src/ breaks the benchmark.  This runs one
-traced diagnose call, the workload that reaches rmt, and one traced batch
-of theory queries, one per (alpha, gamma) pair of that workload, in-process;
-``python3 perfbench/selftest.py`` checks every workload but takes minutes.
+traced call of each sweep workload and of diagnose, the workload that
+reaches rmt, and one traced batch of theory queries, one per (alpha, gamma)
+pair of that workload, in-process; a fit path or a root finder that stops
+reaching a listed name fails here.  ``python3 perfbench/selftest.py`` checks
+every workload but takes minutes.
 """
 
 import importlib
 from pathlib import Path
 
 import powerlaw_ridge
+import powerlaw_ridge.cli  # noqa: F401 - the sweep workloads call pr.cli.main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,3 +51,11 @@ def test_traced_theory_batch_reaches_every_expected_span(monkeypatch, tmp_path):
     # 25 queries cycle once through the workload's 5 x 5 (alpha, gamma)
     # pairs, gamma = 0 among them
     assert run_traced("Theory", 25, monkeypatch, tmp_path) == ([], 0, [])
+
+
+def test_traced_tradeoff_call_reaches_every_expected_span(monkeypatch, tmp_path):
+    assert run_traced("Tradeoff", 1, monkeypatch, tmp_path) == ([], 0, [])
+
+
+def test_traced_normgrowth_call_reaches_every_expected_span(monkeypatch, tmp_path):
+    assert run_traced("NormGrowth", 1, monkeypatch, tmp_path) == ([], 0, [])

@@ -88,7 +88,31 @@ class TestIntegrals:
         assert integral_i(REGIME_HALF, 1.0) == pytest.approx(math.atan(2.0), rel=1e-12)
 
     def test_j_at_zero_is_inverse_gamma(self):
-        assert integral_j(REGIME_SQUARE, 0.0) == 1.0
+        for gamma_star in (0.5, 1.0, 2.0):
+            regime = AsymptoticRegime(alpha=1.75, gamma_star=gamma_star)
+            assert integral_j(regime, 0.0) == 1.0 / gamma_star
+
+    @pytest.mark.parametrize(
+        "alpha", [1.0001, 1.001, 1.01, 1.1, 1.25, 1.75, 2.5, 4.0, 8.0]
+    )
+    @pytest.mark.parametrize("gamma_star", [0.5, 1.0, 2.0])
+    def test_j_agrees_with_mpmath(self, alpha, gamma_star):
+        # J comes from I by Gauss's contiguous relation; compared with
+        # F(2, b; b+1; z) / g at 50 digits over z in [-1e12, 0], it is off by
+        # at most 6.8e-16 relative, well inside the bound fixed beforehand
+        regime = AsymptoticRegime(alpha=alpha, gamma_star=gamma_star)
+        with mpmath.workdps(50):
+            b, g = mpmath.mpf(1.0 / alpha), mpmath.mpf(gamma_star)
+            for z in np.concatenate([[0.0], -np.geomspace(1e-6, 1e12, 37)]):
+                k = float(-z * gamma_star**alpha)
+                expected = mpmath.hyp2f1(2, b, 1 + b, -k * g ** -mpmath.mpf(alpha)) / g
+                assert abs(integral_j(regime, k) - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("alpha", [1.0001, 1.75, 8.0])
+    def test_j_is_scaled_i_at_gamma_zero(self, alpha):
+        regime = AsymptoticRegime(alpha=alpha, gamma_star=0.0)
+        for k in map(float, np.geomspace(1e-6, 1e12, 10)):
+            assert integral_j(regime, k) == (1 - 1 / alpha) * integral_i(regime, k)
 
     def test_j_arctan_values(self):
         assert integral_j(REGIME_SQUARE, 1.0) == pytest.approx(
@@ -351,8 +375,8 @@ class TestSelectRegularizer:
     def test_edge_values_are_not_evaluated_twice(self, monkeypatch):
         # the bracket search hands its edge values to the root finder, so a
         # solve evaluates hyp2f1 at no argument twice; the bisection to a few
-        # ulps in k takes 108 calls.  The result is pinned to the last bit,
-        # and the pins lie within 1e-14 of the 50-digit root
+        # ulps in k takes 54 calls, one per E_train.  The result is pinned to
+        # the last bit, and the pins lie within 1e-14 of the 50-digit root
         regime = AsymptoticRegime(alpha=1.75, gamma_star=0.5, sigma_sq=1.0)
         regime.k_crit  # cached; its own solve is not counted
         calls = []
@@ -361,8 +385,8 @@ class TestSelectRegularizer:
             eigenlearning, "hyp2f1", lambda args: calls.append(args) or hyp2f1(args)
         )
         k, r, rho_n = select_regularizer(regime, 0.3, 1000)
-        assert len(set(calls)) == len(calls) <= 108
-        pinned = (5.864074047158772, 2.7153929801005896, 1.526977686842337e-05)
+        assert len(set(calls)) == len(calls) <= 54
+        pinned = (5.864074047158773, 2.715392980100591, 1.5269776868423377e-05)
         assert (k, r, rho_n) == pinned
         k_ref, r_ref = mpmath_train_error_root(1.75, 0.5, 0.3, k)
         references = (k_ref, r_ref, r_ref * mpmath.mpf(1000) ** -1.75)

@@ -501,11 +501,17 @@ class TestCli:
                 + ["--tau-grid", "0.2:0.4:2", "--trials", "1"],
                 1,
             ),
+            (
+                ["normgrowth", "--alpha", "110", "--n-grid", "200:1000:2"]
+                + ["--trials", "1"],
+                1,
+            ),
         ],
         ids=[
             "diagnose-trials", "tradeoff-tau", "normgrowth-tau", "failed-fit",
             "solve-huge-n", "tradeoff-huge-n", "diagnose-huge-n",
             "solve-tau-unresolved", "solve-rho-underflow", "tradeoff-rho-underflow",
+            "normgrowth-rho-underflow",
         ],  # fmt: skip
     )
     def test_domain_errors_exit_one_and_failed_fits_two(self, argv, code, capsys):
